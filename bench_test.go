@@ -260,6 +260,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	g.AddNode(ops.NewSink("k", nil), j)
 	clock := tuple.Time(0)
 	e := exec.MustNew(g, nil, func() tuple.Time { return clock })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clock++
@@ -298,6 +299,7 @@ func BenchmarkJoinHashVsNestedLoop(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			e, s1, s2, clock := build(hashed)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				*clock++

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +139,49 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The hash join must pair what the nested-loop equi-join pairs: numeric keys
+// are equal by value across kinds (Int(1), Float(1), TimeVal(1); −0.0 and 0),
+// not by representation. The map index this store replaced compared keys
+// with ==, so mixed-kind pairs never met.
+func TestHashJoinMixedKindKeysMatchEquiJoin(t *testing.T) {
+	keys := []tuple.Value{
+		tuple.Int(1), tuple.Float(1), tuple.TimeVal(1),
+		tuple.Int(0), tuple.Float(0), tuple.Float(math.Copysign(0, -1)),
+		tuple.Float(1.5), tuple.Int(2), tuple.String_("1"), tuple.Bool(true), {},
+	}
+	span := window.TimeWindow(1000)
+	run := func(j *WindowJoin) []string {
+		h := newHarness(j)
+		for side := 0; side < 2; side++ {
+			for i, k := range keys {
+				h.ins[side].Push(tuple.NewData(tuple.Time(i), k, tuple.Int(int64(side))))
+			}
+			h.ins[side].Push(tuple.EOS())
+		}
+		h.run()
+		var rows []string
+		for _, d := range h.data() {
+			rows = append(rows, d.String())
+		}
+		sort.Strings(rows)
+		return rows
+	}
+	hash := run(NewHashWindowJoin("hj", nil, span, span, 0, 0, TSM))
+	equi := run(NewEquiWindowJoin("ej", nil, span, span, 0, 0, TSM))
+	// Three numeric 1s and three zeros pair 9 ways each; the other five keys
+	// meet only themselves.
+	if want := 9 + 9 + 5; len(equi) != want {
+		t.Fatalf("equi-join emitted %d rows, want %d", len(equi), want)
+	}
+	if len(hash) != len(equi) {
+		t.Fatalf("hash join emitted %d rows, nested-loop equi-join %d", len(hash), len(equi))
+	}
+	for i := range equi {
+		if hash[i] != equi[i] {
+			t.Fatalf("row %d: hash join %s, equi-join %s", i, hash[i], equi[i])
+		}
 	}
 }

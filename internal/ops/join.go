@@ -95,7 +95,6 @@ func NewHashWindowJoin(name string, schema *tuple.Schema, specL, specR window.Sp
 	j := &WindowJoin{
 		base:       base{name: name, inputs: 2, schema: schema},
 		mode:       mode,
-		pred:       EquiJoin(leftCol, rightCol),
 		hashed:     true,
 		hasKeys:    true,
 		keyCols:    [2]int{leftCol, rightCol},
@@ -373,7 +372,8 @@ func (j *WindowJoin) produce(ctx *Ctx, side int, t *tuple.Tuple) bool {
 		} else {
 			l, r = o, t
 		}
-		if !j.pred(l, r) {
+		// The hash index has matched the key columns already.
+		if !j.hashed && !j.pred(l, r) {
 			return
 		}
 		ts := t.Ts
@@ -381,8 +381,8 @@ func (j *WindowJoin) produce(ctx *Ctx, side int, t *tuple.Tuple) bool {
 			ts = o.Ts
 		}
 		// Output tuples come from the node-local magazine: a hash join's
-		// probe loop is one of the engine's hottest allocation sites, and
-		// downstream recycling feeds the same slab economy.
+		// probe loop is one of the engine's hottest allocation sites. It
+		// hands out what downstream recycled, else carves from a slab.
 		out := j.mag.GetData(ts, len(l.Vals)+len(r.Vals))
 		copy(out.Vals, l.Vals)
 		copy(out.Vals[len(l.Vals):], r.Vals)

@@ -96,10 +96,10 @@ func (e *Engine) deliverCol(n *node, ctx *ops.Ctx, colCtx *ops.ColCtx, pb portBa
 		e.emitCol(n, b)
 		return
 	}
-	// Late accounting uses the input watermark as of before this delivery,
+	// Late accounting uses the arc's watermark as of before this delivery,
 	// as on the row path: a batch's own marks bound future batches, not the
 	// rows travelling with them.
-	wmPre := n.obs.wmIn.Load()
+	wmPre := n.obs.arcWm[pb.port].Load()
 	if wmPre > int64(tuple.MinTime) && b.Len() > 0 {
 		late := 0
 		for _, ts := range b.Ts[:b.Len()] {

@@ -234,6 +234,45 @@ func TestRuntimeLateTuplesCounted(t *testing.T) {
 	_ = col
 }
 
+// TestRuntimeLateIsPerArc: lateness is judged against the bound of the arc a
+// tuple travels on. One union input's punctuation running ahead of the other
+// input's data puts nothing out of order, so nothing may be flagged; a tuple
+// below a bound already received on its own arc still is.
+func TestRuntimeLateIsPerArc(t *testing.T) {
+	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.External)
+	e, err := New(g, Options{OnDemandETS: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	arcWm := func(port int) tuple.Time {
+		s := e.Snapshot()
+		return s.Node("u").Arcs[port].Watermark
+	}
+	// Arc 0's bound runs far ahead of anything arc 1 will carry.
+	e.Ingest(s1, tuple.NewData(100, tuple.Int(1)))
+	e.Ingest(s1, tuple.NewPunct(1000))
+	waitFor(t, 5*time.Second, "arc 0 bound at the union", func() bool { return arcWm(0) == 1000 })
+	// In order on arc 1, all below arc 0's bound, in separate deliveries.
+	e.Ingest(s2, tuple.NewData(200, tuple.Int(2)))
+	e.Ingest(s2, tuple.NewData(300, tuple.Int(3)))
+	e.Ingest(s2, tuple.NewPunct(400))
+	waitFor(t, 5*time.Second, "union output", func() bool {
+		return arcWm(1) == 400 && len(col.snapshot()) == 3
+	})
+	if s := e.Snapshot(); s.LateTuples != 0 {
+		t.Fatalf("in-order arcs with skewed bounds flagged %d late tuples (union %d)",
+			s.LateTuples, s.Node("u").LateTuples)
+	}
+	// Below arc 1's own bound: genuinely late.
+	e.Ingest(s2, tuple.NewData(350, tuple.Int(4)))
+	waitFor(t, 5*time.Second, "late tuple delivered", func() bool { return len(col.snapshot()) == 4 })
+	if s := e.Snapshot(); s.Node("u").LateTuples != 1 {
+		t.Fatalf("union counted %d late tuples, want 1", s.Node("u").LateTuples)
+	}
+}
+
 // slowGraph builds src → slow select → sink, where every tuple costs the
 // select a fixed sleep — an overload generator for queue-bound tests.
 func slowGraph(t *testing.T, perTuple time.Duration) (*graph.Graph, *ops.Source, *collector) {

@@ -459,8 +459,9 @@ type NodeSnapshot struct {
 	// watchdog currently considers the source dead.
 	ForcedETS, Revived uint64
 	Dead               bool
-	// LateTuples counts data tuples that arrived below the node's input
-	// watermark; TuplesShed data tuples dropped by the overload shedder.
+	// LateTuples counts data tuples that arrived below a bound already
+	// received on their own input arc; TuplesShed data tuples dropped by
+	// the overload shedder.
 	LateTuples, TuplesShed uint64
 	// BatchSize/MaxBatchDelay are the node's live data-plane tunables;
 	// Retunes counts reconfigurations applied at punctuation boundaries.

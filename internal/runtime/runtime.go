@@ -816,7 +816,8 @@ func (e *Engine) runNode(n *node) {
 		if t.IsPunct() {
 			e.notePunctArrival(n, port, t.Ts, t.Trace)
 		} else if src == nil {
-			if wm := n.obs.wmIn.Load(); wm > int64(tuple.MinTime) && int64(t.Ts) < wm {
+			// Late is judged against this arc's own bound, as in deliver.
+			if wm := n.obs.arcWm[port].Load(); wm > int64(tuple.MinTime) && int64(t.Ts) < wm {
 				e.countLate(n, 1)
 			}
 		}
@@ -853,10 +854,12 @@ func (e *Engine) runNode(n *node) {
 			return
 		}
 		n.obs.tuplesIn.Add(uint64(len(pb.many)))
-		// Late accounting must use the input watermark as of *before* this
+		// Late accounting must use the arc's watermark as of *before* this
 		// delivery: a batch's own trailing punctuation bounds future
 		// batches, not the data travelling ahead of it in the same batch.
-		wmPre := n.obs.wmIn.Load()
+		// The arc's, not the node's: another input's bound may run ahead
+		// without any tuple on this one being late.
+		wmPre := n.obs.arcWm[pb.port].Load()
 		// Punctuation flushes its batch when emitted, so a punct can only
 		// be a batch's last element — one check accounts the whole batch.
 		last := pb.many[len(pb.many)-1]

@@ -221,7 +221,7 @@ func (e *Engine) noteSourceActivity(n *node) {
 	}
 }
 
-// countLate accounts data tuples that arrived below the node's input
+// countLate accounts data tuples that arrived below their own arc's
 // watermark — the observable footprint of an ETS overshoot or a revived
 // source. The tuples themselves ride the relaxed-more / late-drop paths.
 func (e *Engine) countLate(n *node, k int) {

@@ -1,6 +1,9 @@
 package tuple
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Allocation pooling for the hot path. The concurrent runtime moves millions
 // of tuples per second; allocating every Tuple (and every batch slice that
@@ -85,22 +88,19 @@ var magazineDepot sync.Pool
 // ready to use. A Magazine must not be shared between goroutines.
 type Magazine struct {
 	stack []*Tuple
+	// tuples and vals are the uncarved rest of GetData's slabs.
+	tuples []Tuple
+	vals   []Value
 }
 
 // Get returns a cleared data tuple, refilling from the shared depot (or the
 // per-tuple pool, or the heap) when the local stack is empty. The tuple has
 // the same state as one from the package-level Get.
 func (m *Magazine) Get() *Tuple {
-	n := len(m.stack)
-	if n == 0 {
-		if bb, _ := magazineDepot.Get().(*batchBox); bb != nil {
-			m.stack = bb.s
-			n = len(m.stack)
-		}
-		if n == 0 {
-			return Get()
-		}
+	if len(m.stack) == 0 && !m.refill() {
+		return Get()
 	}
+	n := len(m.stack)
 	t := m.stack[n-1]
 	m.stack[n-1] = nil
 	m.stack = m.stack[:n-1]
@@ -108,9 +108,47 @@ func (m *Magazine) Get() *Tuple {
 	return t
 }
 
+// refill swaps an empty stack for a full magazine from the shared depot and
+// reports whether it got one.
+func (m *Magazine) refill() bool {
+	if bb, _ := magazineDepot.Get().(*batchBox); bb != nil {
+		m.stack = bb.s
+	}
+	return len(m.stack) > 0
+}
+
 // GetData is the magazine form of the package-level GetData: a data tuple
-// stamped ts with n null values ready for indexed assignment.
-func (m *Magazine) GetData(ts Time, n int) *Tuple { return asData(m.Get(), ts, n) }
+// stamped ts with n null values ready for indexed assignment. A recycled
+// tuple is preferred. With none on the stack, the tuple and its value array
+// are carved from two slabs of about MagazineSize tuples each (one heap
+// allocation per slab, not two per tuple), and the depot is asked again
+// whenever a slab runs out. A tuple still referenced keeps its whole slab
+// from the collector, up to MagazineSize siblings: that is why recycled
+// tuples come first and why a slab belongs to one magazine.
+func (m *Magazine) GetData(ts Time, n int) *Tuple {
+	if len(m.stack) > 0 || (len(m.tuples) == 0 || len(m.vals) < n) && m.refill() {
+		return asData(m.Get(), ts, n)
+	}
+	// Grow rounds the capacity up to the allocator's size class and the slab
+	// takes all of it: 64 six-value arrays are 15 KiB of a 16 KiB block,
+	// which holds 68.
+	if len(m.tuples) == 0 {
+		m.tuples = slices.Grow([]Tuple(nil), MagazineSize)
+		m.tuples = m.tuples[:cap(m.tuples)]
+	}
+	if len(m.vals) < n {
+		m.vals = slices.Grow([]Value(nil), MagazineSize*n)
+		m.vals = m.vals[:cap(m.vals)]
+	}
+	t := &m.tuples[0]
+	m.tuples = m.tuples[1:]
+	t.Ts = ts
+	// The capacity stops at n: a recycled tuple regrowing Vals must not
+	// reach into its neighbour's values.
+	t.Vals = m.vals[:n:n]
+	m.vals = m.vals[n:]
+	return t
+}
 
 // Put recycles t into the local stack, spilling a full magazine to the
 // shared depot once the stack holds two magazines' worth. Put is nil-safe

@@ -29,12 +29,7 @@ func (w *Store) RestoreState(dec *ckpt.Decoder) error {
 
 // SaveState appends the hash store's state to enc.
 func (w *HashStore) SaveState(enc *ckpt.Encoder) {
-	each := func(fn func(*stateTuple)) {
-		for i := 0; i < w.n; i++ {
-			fn(w.buf[(w.head+i)%len(w.buf)])
-		}
-	}
-	saveWindow(enc, w.spec, w.keyCol, w.peak, w.inserted, w.expired, w.n, each)
+	saveWindow(enc, w.spec, w.keyCol, w.peak, w.inserted, w.expired, w.n, w.each)
 }
 
 // RestoreState rebuilds the hash store (ring and key index) from dec.
