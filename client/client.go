@@ -15,9 +15,32 @@
 //     and Send blocks, extending the engine's demand/backpressure discipline
 //     across the network.
 //
+// # When a buffered tuple is written
+//
+// Send buffers tuples per stream and writes them as TUPLES frames, and it
+// follows the runtime's rule for arc batches: batching must not bring back
+// the latency on-demand ETS removes, so a tuple never waits for its frame
+// to fill or for a heartbeat. Options.BatchSize is a cap on the frame, not
+// a count to wait for. A pending batch is written when
+//
+//   - the link is idle: a tuple that finds nothing written for idleGap is
+//     written through on the caller's thread;
+//   - it reaches BatchSize, which only a sender calling back to back does;
+//   - a Punct, SendCol, CloseSend or Flush on the stream, or Close on the
+//     connection, comes after it: buffered tuples always reach the wire
+//     before the frame that follows them;
+//   - the connection's flusher goroutine, kicked when the batch turned
+//     non-empty behind a busy link, gets the connection: it writes whatever
+//     has coalesced by then.
+//
+// The server's credit window bounds what is in flight whatever the frame
+// size, so writing early costs no backpressure. A HEARTBEAT is a clock
+// sample for the connection and flushes nothing.
+//
 // Connections survive failures: with Options.Reconnect the client redials
 // with exponential backoff, replays the handshake, re-binds every stream,
-// and resumes. Tuples buffered but unsent at the failure are resent. With
+// and resumes. Tuples buffered but unsent at the failure are resent by the
+// flusher as soon as the transport is back, without another Send. With
 // Options.Sequenced the resend is idempotent: every tuple carries a
 // per-stream sequence number, the server suppresses anything at or below
 // its last-applied watermark, and the BIND_ACK watermark lets the client
@@ -46,6 +69,15 @@ var ErrClosed = errors.New("client: connection closed")
 // is zero.
 const DefaultBatchSize = 256
 
+// idleGap is how long after a write the link still counts as busy. A tuple
+// that arrives later is written through by its sender; one that arrives
+// sooner waits for the flusher, so that a sender calling back to back
+// coalesces. A frame written alone costs one small write, 5-10 µs over
+// loopback, and a sender that pauses for two of those between tuples loses
+// little by paying it per tuple. A saturating sender's gaps are under a
+// microsecond, so the two are far apart.
+const idleGap = 20 * time.Microsecond
+
 // DefaultHeartbeatEvery is the heartbeat cadence when Options.HeartbeatEvery
 // is zero.
 const DefaultHeartbeatEvery = 200 * time.Millisecond
@@ -62,11 +94,13 @@ type Options struct {
 	// samples; defaults to wall time (time.Now().UnixMicro()).
 	Clock func() int64
 	// HeartbeatEvery is the heartbeat cadence (default
-	// DefaultHeartbeatEvery); heartbeats also flush stale send batches.
-	// Negative disables heartbeats (tests).
+	// DefaultHeartbeatEvery). Negative disables heartbeats (tests).
 	HeartbeatEvery time.Duration
-	// BatchSize caps tuples buffered per stream before a TUPLES frame is
-	// written (default DefaultBatchSize). 1 sends every tuple immediately.
+	// BatchSize caps the tuples one TUPLES frame carries (default
+	// DefaultBatchSize). It is a cap and not a count to wait for: a frame
+	// goes out smaller whenever the link is idle (see the package comment),
+	// and only a sender calling back to back fills it. 1 sends every tuple
+	// in its own frame.
 	BatchSize int
 	// Columnar offers the columnar-batch capability in HELLO: when the
 	// server grants it, Stream.SendCol ships tuple.ColBatch payloads as
@@ -131,8 +165,16 @@ type Conn struct {
 
 	reconnecting bool
 
-	hbStop  chan struct{}
-	hbDone  chan struct{}
+	// start is the origin of the connection's monotonic clock and busyUntil
+	// the reading up to which the link counts as busy: idleGap past the
+	// return of the last write. A Send that finds the link idle writes
+	// through.
+	start     time.Time
+	busyUntil time.Duration
+
+	kick    chan struct{}  // wakes the flusher: a batch began to coalesce, or the transport broke
+	done    chan struct{}  // closed by Close
+	bg      sync.WaitGroup // the heartbeat and flusher goroutines
 	readers sync.WaitGroup
 
 	stats Stats
@@ -148,9 +190,17 @@ type Stats struct {
 	CreditStalls uint64 // times a Send had to wait for window
 }
 
-// Dial connects, performs the HELLO handshake, and starts the heartbeat.
+// Dial connects, performs the HELLO handshake, and starts the heartbeat and
+// the flusher.
 func Dial(addr string, opts Options) (*Conn, error) {
-	c := &Conn{addr: addr, opts: opts, streams: make(map[uint32]*Stream)}
+	c := &Conn{
+		addr:    addr,
+		opts:    opts,
+		streams: make(map[uint32]*Stream),
+		start:   time.Now(),
+		kick:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+	}
 	c.cond = sync.NewCond(&c.mu)
 	if c.opts.Clock == nil {
 		c.opts.Clock = func() int64 { return time.Now().UnixMicro() }
@@ -175,9 +225,9 @@ func Dial(addr string, opts Options) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.hbStop = make(chan struct{})
-	c.hbDone = make(chan struct{})
+	c.bg.Add(2)
 	go c.heartbeatLoop()
+	go c.flushLoop()
 	return c, nil
 }
 
@@ -357,7 +407,8 @@ func (c *Conn) readLoop(conn net.Conn, rd *wire.Reader, epoch uint64) {
 }
 
 // markBrokenLocked declares the current transport dead and wakes everyone
-// blocked on it.
+// blocked on it, the flusher included: it redials and resends whatever the
+// streams still hold, so retained tuples do not wait for the next Send.
 func (c *Conn) markBrokenLocked() {
 	if c.broken {
 		return
@@ -370,6 +421,7 @@ func (c *Conn) markBrokenLocked() {
 		c.permErr = errors.New("client: connection lost")
 	}
 	c.cond.Broadcast()
+	c.kickFlusher()
 }
 
 // ensureLocked blocks until the connection is usable, reconnecting if
@@ -400,7 +452,10 @@ func (c *Conn) ensureLocked() error {
 				break
 			}
 			c.mu.Unlock()
-			time.Sleep(backoff)
+			select {
+			case <-time.After(backoff):
+			case <-c.done:
+			}
 			c.mu.Lock()
 			if c.closed {
 				break
@@ -414,17 +469,18 @@ func (c *Conn) ensureLocked() error {
 	}
 }
 
-// takeCredits blocks until n credits are available (reconnecting as needed)
-// and consumes them.
-func (c *Conn) takeCredits(n int64) error {
+// takeCredits blocks until at least lo credits are available (reconnecting
+// as needed) and consumes as many as there are, up to hi.
+func (c *Conn) takeCredits(lo, hi int) (int, error) {
 	stalled := false
 	for {
 		if err := c.ensureLocked(); err != nil {
-			return err
+			return 0, err
 		}
-		if c.credits >= n {
-			c.credits -= n
-			return nil
+		if c.credits >= int64(lo) {
+			n := int(min(int64(hi), c.credits))
+			c.credits -= int64(n)
+			return n, nil
 		}
 		if !stalled {
 			stalled = true
@@ -445,11 +501,12 @@ func (c *Conn) writeLocked(f wire.Frame) error {
 		c.markBrokenLocked()
 		return err
 	}
+	c.busyUntil = time.Since(c.start) + idleGap
 	return nil
 }
 
 func (c *Conn) heartbeatLoop() {
-	defer close(c.hbDone)
+	defer c.bg.Done()
 	if c.opts.HeartbeatEvery < 0 {
 		return
 	}
@@ -457,26 +514,57 @@ func (c *Conn) heartbeatLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.hbStop:
+		case <-c.done:
 			return
 		case <-tick.C:
 		}
 		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		if !c.broken {
-			// Piggyback: anything sitting in a send batch has waited long
-			// enough.
-			for _, s := range c.streams {
-				s.flushLocked()
-			}
-			if c.writeLocked(wire.Heartbeat{Clock: c.opts.Clock()}) == nil {
-				c.stats.Heartbeats++
-			}
+		if !c.closed && !c.broken && c.writeLocked(wire.Heartbeat{Clock: c.opts.Clock()}) == nil {
+			c.stats.Heartbeats++
 		}
 		c.mu.Unlock()
+	}
+}
+
+// kickFlusher wakes the flusher without blocking; a kick already waiting
+// covers this one.
+func (c *Conn) kickFlusher() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// flushLoop is the connection's flusher: it writes the batches that no Send
+// will. A Send kicks it when a batch begins to coalesce behind a busy link,
+// and markBrokenLocked when the transport dies; each kick writes everything
+// pending. What a sender calling back to back adds before the flusher has
+// the lock goes out in the same frame.
+func (c *Conn) flushLoop() {
+	defer c.bg.Done()
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-c.kick:
+		}
+		c.mu.Lock()
+		c.flushPendingLocked()
+		c.mu.Unlock()
+	}
+}
+
+// flushPendingLocked writes every pending batch, redialing first if the
+// transport is down.
+func (c *Conn) flushPendingLocked() {
+	for _, s := range c.streams {
+		if len(s.batch) == 0 || s.err != nil {
+			continue // nothing pending, or no binding left to send it to
+		}
+		if c.ensureLocked() != nil {
+			return // closed, or lost for good: the batches stay where they are
+		}
+		s.flushLocked() // a failure kicks this loop again through markBrokenLocked
 	}
 }
 
@@ -495,9 +583,10 @@ func (c *Conn) Flush() error {
 	return nil
 }
 
-// Close flushes buffered tuples (best effort), stops the heartbeat, and
-// tears the connection down. It does not send EOS — use Stream.CloseSend for
-// streams that should end.
+// Close flushes buffered tuples (best effort), stops the heartbeat and the
+// flusher, and tears the connection down; nothing is written once it has
+// returned. It does not send EOS — use Stream.CloseSend for streams that
+// should end.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -515,8 +604,8 @@ func (c *Conn) Close() error {
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	close(c.hbStop)
-	<-c.hbDone
+	close(c.done)
+	c.bg.Wait()
 	c.readers.Wait()
 	return nil
 }

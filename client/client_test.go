@@ -103,10 +103,12 @@ func TestClientSendPunctEOS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if err := s.Send(tuple.NewData(tuple.Time(i*100), tuple.Int(int64(i)), tuple.Float(0.5))); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]*tuple.Tuple, 10)
+	for i := range batch {
+		batch[i] = tuple.NewData(tuple.Time(i*100), tuple.Int(int64(i)), tuple.Float(0.5))
+	}
+	if err := s.SendBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Punct(900); err != nil {
 		t.Fatal(err)
@@ -122,8 +124,10 @@ func TestClientSendPunctEOS(t *testing.T) {
 	if st.TuplesSent != 10 || st.PunctSent != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.BatchesSent >= 10 {
-		t.Errorf("no batching happened: %d frames for 10 tuples", st.BatchesSent)
+	// BatchSize is 4: two frames leave full, and the last two tuples leave
+	// together, by the idle link, the flusher or the Punct behind them.
+	if st.BatchesSent != 3 {
+		t.Errorf("%d frames for 10 tuples under a cap of 4, want 3", st.BatchesSent)
 	}
 }
 

@@ -142,11 +142,11 @@ func TestClientSequencedResendTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &retargetDialer{addr: srv1.Addr().String()}
+	defer srv1.Close()
+	d := &flakyDialer{addr: srv1.Addr().String()}
 	c, err := client.Dial(d.addr, client.Options{
 		Sequenced:      true,
 		Reconnect:      true,
-		BatchSize:      64, // large: sends stay buffered client-side
 		HeartbeatEvery: -1,
 		Dial:           d.dial,
 	})
@@ -158,15 +158,10 @@ func TestClientSequencedResendTrim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Buffer three tuples (seqs 1..3) without flushing, then "crash" onto a
-	// server restored past all of them: the re-bind watermark must trim the
-	// whole retained batch, and the flush after reconnect sends nothing.
-	for i := 1; i <= 3; i++ {
-		if err := s.Send(tuple.NewData(tuple.Time(i), tuple.Int(int64(i)), tuple.Float(1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv1.Close()
+	// Three tuples (seqs 1..3) whose write fails stay with the client, which
+	// redials onto a server restored past all of them: the re-bind watermark
+	// must trim the whole retained batch, and the flusher's resend after the
+	// reconnect sends nothing.
 	back2 := &gateBackend{sch: extSchema()}
 	srv2, err := server.Listen("127.0.0.1:0", server.Options{
 		Backend:    back2,
@@ -176,22 +171,22 @@ func TestClientSequencedResendTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	d.retarget(srv2.Addr().String())
-
-	waitCond(t, "trim watermark", func() bool {
-		_ = c.Flush() // rides the reconnect + re-bind once brokenness is seen
-		return s.AckedSeq() == 3
-	})
-	// A fresh tuple must land with seq 4, alone.
-	if err := s.Send(tuple.NewData(tuple.Time(40), tuple.Int(40), tuple.Float(1))); err != nil {
+	d.set(srv2.Addr().String(), false)
+	d.last().fail.Store(failLost)
+	if err := s.SendBatch([]*tuple.Tuple{data(1), data(2), data(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Flush(); err != nil {
+	waitCond(t, "trim watermark", func() bool { return s.AckedSeq() == 3 })
+	// A fresh tuple must land with seq 4, alone.
+	if err := s.Send(data(40)); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "post-trim send", func() bool { d, _, _ := back2.counts(); return d == 1 })
 	time.Sleep(50 * time.Millisecond) // give any wrongly-resent tuples time to land
 	if got, _, _ := back2.counts(); got != 1 {
 		t.Fatalf("restored server ingested %d tuples, want 1 (trimmed batch resent?)", got)
+	}
+	if got, _, _ := back1.counts(); got != 0 {
+		t.Fatalf("the first server ingested %d tuples through a transport whose writes fail", got)
 	}
 }

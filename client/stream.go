@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -96,53 +97,88 @@ func (c *Conn) Bind(stream string, ts tuple.TSKind, opts StreamOptions) (*Stream
 	return s, nil
 }
 
-// Send buffers one tuple for the stream, writing a batched TUPLES frame when
-// the batch fills. It takes ownership of t. Send blocks while the server's
-// credit window is exhausted — the networked form of engine backpressure —
-// and while a broken connection reconnects. A transport failure after
-// buffering is not an error: the batch is retained and resent on the next
-// transport.
+// Send hands one tuple to the stream, taking ownership of it. The tuple is
+// written at once when the link is idle and otherwise joins the stream's
+// pending batch, which the package comment's flush triggers bound. Send
+// blocks while the server's credit window is exhausted — the networked form
+// of engine backpressure — and while a broken connection reconnects. A
+// transport failure after buffering is not an error: the batch is retained
+// and resent on the next transport.
 func (s *Stream) Send(t *tuple.Tuple) error {
+	one := [1]*tuple.Tuple{t}
+	return s.SendBatch(one[:])
+}
+
+// SendBatch sends a slice of tuples (ownership of the tuples transfers; the
+// slice stays the caller's). It takes the connection lock and credits once
+// per chunk, a chunk being what fits under the frame cap, before the next
+// automatic punctuation and in the free credit window, so a batch larger
+// than the window drains through it.
+func (s *Stream) SendBatch(ts []*tuple.Tuple) error {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	if s.eos {
-		return fmt.Errorf("client: send on closed stream %q", s.name)
-	}
-	if err := c.takeCredits(1); err != nil {
-		return err
-	}
-	if c.opts.Sequenced {
-		s.seq++
-		t.Seq = s.seq
-	}
-	s.batch = append(s.batch, t)
-	if !s.hasTs || t.Ts > s.maxTs {
-		s.maxTs, s.hasTs = t.Ts, true
-	}
-	s.sincePunct++
-	if len(s.batch) >= c.opts.BatchSize {
-		s.flushLocked()
-	}
-	if s.opts.AutoPunctEvery > 0 && s.sincePunct >= s.opts.AutoPunctEvery && s.hasTs {
-		s.sincePunct = 0
-		s.punctLocked(s.maxTs)
+	for len(ts) > 0 {
+		if s.err != nil {
+			return s.err
+		}
+		if s.eos {
+			return fmt.Errorf("client: send on closed stream %q", s.name)
+		}
+		room := c.opts.BatchSize - len(s.batch)
+		if every := s.opts.AutoPunctEvery; every > 0 {
+			room = min(room, every-s.sincePunct)
+		}
+		// A batch retained past the cap by a failed write still takes one.
+		n, err := c.takeCredits(1, min(max(room, 1), len(ts)))
+		if err != nil {
+			return err
+		}
+		wasEmpty := len(s.batch) == 0
+		for _, t := range ts[:n] {
+			if c.opts.Sequenced {
+				s.seq++
+				t.Seq = s.seq
+			}
+			if !s.hasTs || t.Ts > s.maxTs {
+				s.maxTs, s.hasTs = t.Ts, true
+			}
+		}
+		s.batch = append(s.batch, ts[:n]...)
+		s.sincePunct += n
+		ts = ts[n:]
+		s.queuedLocked(wasEmpty)
+		s.autoPunctLocked()
 	}
 	return nil
 }
 
-// SendBatch sends a slice of tuples (ownership of the tuples transfers; the
-// slice stays the caller's).
-func (s *Stream) SendBatch(ts []*tuple.Tuple) error {
-	for _, t := range ts {
-		if err := s.Send(t); err != nil {
-			return err
-		}
+// queuedLocked applies the sender's flush triggers after tuples joined the
+// pending batch: the size cap, and write-through on an idle link. A batch
+// that begins to coalesce instead is the flusher's to write.
+func (s *Stream) queuedLocked(wasEmpty bool) {
+	c := s.c
+	if len(s.batch) >= c.opts.BatchSize {
+		s.flushLocked()
+		return
 	}
-	return nil
+	if !wasEmpty {
+		return // already coalescing, and the flusher knows
+	}
+	if time.Since(c.start) >= c.busyUntil {
+		s.flushLocked()
+		return
+	}
+	c.kickFlusher()
+}
+
+// autoPunctLocked emits the automatic punctuation once AutoPunctEvery
+// tuples have been sent since the last.
+func (s *Stream) autoPunctLocked() {
+	if s.opts.AutoPunctEvery > 0 && s.sincePunct >= s.opts.AutoPunctEvery && s.hasTs {
+		s.sincePunct = 0
+		s.punctLocked(s.maxTs)
+	}
 }
 
 // SendCol sends a columnar batch, taking ownership of b. On a connection
@@ -171,7 +207,7 @@ func (s *Stream) SendCol(b *tuple.ColBatch) error {
 		tuple.PutColBatch(b)
 		return nil
 	}
-	if err := c.takeCredits(int64(n)); err != nil {
+	if _, err := c.takeCredits(n, n); err != nil {
 		tuple.PutColBatch(b)
 		return err
 	}
@@ -215,20 +251,16 @@ func (s *Stream) SendCol(b *tuple.ColBatch) error {
 		}
 		b.Puncts = b.Puncts[:0]
 		if n > 0 {
+			wasEmpty := len(s.batch) == 0
 			s.batch = b.AppendRows(s.batch, nil)
-			if len(s.batch) >= c.opts.BatchSize {
-				s.flushLocked()
-			}
+			s.queuedLocked(wasEmpty)
 		}
 	}
 	tuple.PutColBatch(b)
 	for _, p := range marks {
 		s.punctLocked(p.Ts)
 	}
-	if s.opts.AutoPunctEvery > 0 && s.sincePunct >= s.opts.AutoPunctEvery && s.hasTs {
-		s.sincePunct = 0
-		s.punctLocked(s.maxTs)
-	}
+	s.autoPunctLocked()
 	return nil
 }
 

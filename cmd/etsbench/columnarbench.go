@@ -79,12 +79,12 @@ func (g *colLCG) row() (key int64, x float64, pay int64) {
 }
 
 const (
-	colSpan      = 256        // tuples per ingest call
-	colThreshold = 0.3        // filter pass fraction
-	colWindow    = 5_000      // aggregate window width, µs
-	colGroups    = 64         // distinct keys
-	colRefEvery  = 10_000     // main tuples between reference refreshes (join)
-	colBatchSize = 256        // engine arc batch size, both configs
+	colSpan      = 256    // tuples per ingest call
+	colThreshold = 0.3    // filter pass fraction
+	colWindow    = 5_000  // aggregate window width, µs
+	colGroups    = 64     // distinct keys
+	colRefEvery  = 10_000 // main tuples between reference refreshes (join)
+	colBatchSize = 256    // engine arc batch size, both configs
 )
 
 // colPipelineFilter builds the shared source → filter → … prefix and

@@ -45,7 +45,7 @@ func TestSpecCodecRoundTripByteIdentical(t *testing.T) {
 		testSpec(3, 2),
 		{Plan: 1, Script: "", Workers: []string{"x"}, Placement: []int32{0, 0, 0}},
 		{Plan: 1 << 62, Script: strings.Repeat("s", 1000), Shards: 9, Self: 4,
-			Workers: []string{"a", "b", "c", "d", "e"},
+			Workers:   []string{"a", "b", "c", "d", "e"},
 			Placement: []int32{4, 3, 2, 1, 0}, LinkDelta: tuple.Time(1) << 40},
 	}
 	for i, s := range specs {

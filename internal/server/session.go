@@ -22,6 +22,7 @@ import (
 type session struct {
 	s    *Server
 	id   uint64
+	span string // "session:<id>", the node name of this session's trace spans
 	conn net.Conn
 
 	wmu sync.Mutex // guards w: Drain writes concurrently with the reader
@@ -52,6 +53,7 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 	return &session{
 		s:     s,
 		id:    id,
+		span:  fmt.Sprintf("session:%d", id),
 		conn:  conn,
 		binds: make(map[uint32]*binding),
 		done:  make(chan struct{}),
@@ -241,15 +243,14 @@ func (c *session) runBinary(br *bufio.Reader) {
 					// instant. The trace ID rides the injected tuple
 					// into the engine.
 					p.Trace = f.Trace
-					sess := fmt.Sprintf("session:%d", c.id)
 					if c.skew.Samples() > 0 {
-						s.spans.RecordAt(f.Trace, sess, obs.PhaseNetSend,
+						s.spans.RecordAt(f.Trace, c.span, obs.PhaseNetSend,
 							f.Clock+c.skew.Offset(), f.ETS)
 					}
 					// Both network phases land on the server clock (the
 					// axis the skew estimate maps onto) — Options.Now
 					// and the collector clock must share it.
-					s.spans.RecordAt(f.Trace, sess, obs.PhaseNetRecv,
+					s.spans.RecordAt(f.Trace, c.span, obs.PhaseNetRecv,
 						int64(s.now()), f.ETS)
 				}
 				b.st.sink.Ingest(p)

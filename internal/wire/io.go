@@ -14,7 +14,8 @@ import (
 // punctuation-bearing writers should flush immediately after a PUNCT or
 // EOS — a bound that sits in a socket buffer delays exactly the
 // reactivation it promises. Writer is not safe for concurrent use; callers
-// serialize (the client does so under its session mutex).
+// serialize (the client makes every write, its flusher's included, under
+// its connection mutex).
 type Writer struct {
 	bw  *bufio.Writer
 	buf []byte // reusable payload scratch
@@ -65,14 +66,21 @@ func (w *Writer) Frames() uint64 { return w.frames }
 // Bytes reports the number of bytes written (including framing overhead).
 func (w *Writer) Bytes() uint64 { return w.bytes }
 
-// Reader deframes and decodes inbound frames. The payload buffer is reused
-// across frames (decoded frames never alias it) and decoded tuples come
-// from the reader's magazine, so a steady tuple stream allocates nothing
-// once warm. Reader is not safe for concurrent use.
+// Reader deframes and decodes inbound frames. The payload buffer and the
+// batch slice of TUPLES frames are reused across frames: a decoded frame
+// never aliases the payload, but a Tuples frame's Batch is valid only until
+// the next call to Next (StreamSink.IngestBatch takes the tuples, not the
+// slice). Decoded tuples come sized from the reader's magazine, which hands
+// out released tuples first and otherwise carves tuple and value array from
+// slabs of about tuple.MagazineSize, so a steady stream of TUPLES frames
+// costs two slab allocations per MagazineSize tuples plus one for the frame
+// value, whether or not anything is ever released. Reader is not safe for
+// concurrent use.
 type Reader struct {
-	br  *bufio.Reader
-	buf []byte
-	mag tuple.Magazine
+	br    *bufio.Reader
+	buf   []byte
+	batch []*tuple.Tuple
+	mag   tuple.Magazine
 
 	frames uint64
 	bytes  uint64
@@ -125,12 +133,19 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	r.frames++
 	r.bytes += uint64(len(hdr)) + uint64(n)
-	return DecodeFrame(FrameType(hdr[4]), r.buf, &r.mag)
+	f, err := decodeFrame(FrameType(hdr[4]), r.buf, &r.mag, r.batch)
+	if ts, ok := f.(Tuples); ok {
+		r.batch = ts.Batch // keep what the decode grew
+	}
+	return f, err
 }
 
-// Release returns a tuple decoded by this reader to its pool. Only the
-// goroutine running the reader may call it, and only for tuples whose
-// ownership was not passed on (e.g. a dropped frame).
+// Release hands a tuple this reader decoded back to its magazine, to be the
+// next tuple decoded. Only the goroutine that calls Next may call it, and
+// only for a tuple nothing else refers to any more: one from a frame the
+// caller dropped (an unbound stream id, a suppressed resend), or one whose
+// values the caller has finished reading. A tuple passed on, to a sink or a
+// queue, belongs to whoever received it.
 func (r *Reader) Release(t *tuple.Tuple) { r.mag.Put(t) }
 
 // Frames reports the number of frames read.

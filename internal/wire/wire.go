@@ -22,7 +22,8 @@
 // uvarints. Encoding appends to a caller-supplied buffer and decoding
 // slices the frame payload in place (strings are copied out, since the
 // reader reuses its buffer), so the steady state allocates nothing beyond
-// the tuples themselves — and those come from the tuple pool.
+// the tuples themselves — and those come sized from the reader's magazine,
+// a slab of them at a time (see Reader).
 //
 // # Frame inventory
 //
@@ -52,6 +53,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tuple"
 )
@@ -537,6 +539,18 @@ func appendTuple(b []byte, t *tuple.Tuple) []byte {
 // count must not turn into an enormous allocation.
 const maxArity = 1 << 12
 
+// carveArity is the widest tuple the decoder carves from the magazine's
+// slabs. A value slab is MagazineSize arrays of the arity asked for, so a
+// 4 KB frame claiming maxArity values would make the reader allocate some
+// 10 MB; above this arity the tuple gets one array of exactly its size. 32
+// columns is wider than any stream this repository declares and keeps a
+// slab at or under 80 KiB.
+const carveArity = 32
+
+// tuple decodes one data tuple body. The arity is known before the first
+// value is read, so the tuple and its value array come sized from the
+// magazine (carved from its slabs when nothing recycled is at hand) and the
+// values are assigned by index.
 func (d *decoder) tuple(mag *tuple.Magazine) *tuple.Tuple {
 	ts := tuple.Time(d.i64())
 	n := d.uvarint()
@@ -548,24 +562,33 @@ func (d *decoder) tuple(mag *tuple.Magazine) *tuple.Tuple {
 		return nil
 	}
 	var t *tuple.Tuple
-	if mag != nil {
+	switch {
+	case mag == nil:
+		t = tuple.GetData(ts, int(n))
+	case n <= carveArity:
+		t = mag.GetData(ts, int(n))
+	default:
 		t = mag.Get()
-	} else {
-		t = tuple.Get()
+		t.Ts = ts
+		t.Vals = slices.Grow(t.Vals, int(n))[:n]
 	}
-	t.Ts = ts
-	for i := uint64(0); i < n; i++ {
-		t.Vals = append(t.Vals, d.value())
+	for i := range t.Vals {
+		t.Vals[i] = d.value()
 	}
 	if d.err != nil {
-		if mag != nil {
-			mag.Put(t)
-		} else {
-			tuple.Put(t)
-		}
+		putTuple(mag, t)
 		return nil
 	}
 	return t
+}
+
+// putTuple returns a tuple the decoder drew to where it came from.
+func putTuple(mag *tuple.Magazine, t *tuple.Tuple) {
+	if mag != nil {
+		mag.Put(t)
+	} else {
+		tuple.Put(t)
+	}
 }
 
 // --- per-frame payload codecs ---
@@ -663,6 +686,12 @@ const maxFields = 1 << 10
 // tuple pool. The payload may be reused by the caller after DecodeFrame
 // returns — nothing in the result aliases it.
 func DecodeFrame(typ FrameType, payload []byte, mag *tuple.Magazine) (Frame, error) {
+	return decodeFrame(typ, payload, mag, nil)
+}
+
+// decodeFrame is DecodeFrame with a batch slice to reuse: a TUPLES frame's
+// Batch is appended to batch[:0].
+func decodeFrame(typ FrameType, payload []byte, mag *tuple.Magazine, batch []*tuple.Tuple) (Frame, error) {
 	d := &decoder{b: payload}
 	switch typ {
 	case TypeHello:
@@ -698,7 +727,7 @@ func DecodeFrame(typ FrameType, payload []byte, mag *tuple.Magazine) (Frame, err
 		}
 		return f, d.done()
 	case TypeTuples:
-		f := Tuples{ID: d.u32()}
+		f := Tuples{ID: d.u32(), Batch: batch[:0]}
 		n := d.uvarint()
 		if d.err == nil && n > uint64(len(payload)) {
 			d.fail()
@@ -715,11 +744,7 @@ func DecodeFrame(typ FrameType, payload []byte, mag *tuple.Magazine) (Frame, err
 			// Return already-decoded tuples to their pool: the frame is
 			// rejected whole, nothing downstream will consume them.
 			for _, t := range f.Batch {
-				if mag != nil {
-					mag.Put(t)
-				} else {
-					tuple.Put(t)
-				}
+				putTuple(mag, t)
 			}
 			return nil, err
 		}
