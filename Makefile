@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-runtime bench-shard bench-net bench-dist bench-columnar bench-adaptive bench-obs bench-ckpt bench-smoke bench-join obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke fuzz-smoke check
+.PHONY: all build vet test race bench bench-runtime bench-shard bench-net bench-dist bench-adaptive bench-obs bench-ckpt bench-smoke bench-join obs-smoke net-smoke adapt-smoke dist-smoke chaos ckpt-smoke fuzz-smoke loc check
 
 all: check
 
@@ -46,11 +46,6 @@ bench-net:
 bench-dist:
 	$(GO) run ./cmd/etsbench -dist
 
-# Row-vs-columnar data-plane measurement on the filter/project/hash and
-# filter/join/aggregate pipelines; writes BENCH_columnar.json.
-bench-columnar:
-	$(GO) run ./cmd/etsbench -columnar
-
 # Punctuation-tracing overhead measurement (span collector on vs off on
 # the batched union workload); writes BENCH_obs.json and warns if the
 # overhead exceeds the 5% budget.
@@ -90,13 +85,6 @@ bench-join:
 ckpt-smoke:
 	$(GO) test -race ./internal/ckpt
 	$(GO) run -race ./cmd/etsbench -ckpt-verify
-
-# Columnar data-plane tests under the race detector: converters and the
-# punctuation-order property (tuple), row/col operator equivalence (ops),
-# end-to-end engine equivalence and mixed/fan-out arcs (runtime), the
-# TUPLES_COL frame (wire), and client/server capability interop.
-col-smoke:
-	$(GO) test -race -run 'Col|Columnar' ./internal/tuple ./internal/ops ./internal/runtime ./internal/wire ./internal/server ./client
 
 # End-to-end observability check (scripts/obs_smoke.sh): phase 1 scrapes a
 # live streamd and asserts the required metric families; phase 2 runs a
@@ -139,12 +127,15 @@ chaos:
 	$(GO) run -race ./cmd/etsbench -chaos -chaos-duration 2s
 
 # Short coverage-guided fuzz of the CQL parser, the wire-protocol frame
-# decoder, the row↔columnar converters, and the operator-state checkpoint
-# codecs (panic/hang/losslessness on arbitrary input).
+# decoder, and the operator-state checkpoint codecs (panic/hang/losslessness
+# on arbitrary input).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s -run '^$$' ./internal/cql
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/wire
-	$(GO) test -fuzz=FuzzColBatchRoundTrip -fuzztime=30s -run '^$$' ./internal/tuple
 	$(GO) test -fuzz=FuzzStateRoundTrip -fuzztime=30s -run '^$$' ./internal/ops
 
-check: vet build test race bench bench-smoke obs-smoke net-smoke col-smoke adapt-smoke dist-smoke chaos ckpt-smoke
+# Non-test Go lines outside the benchmark: the count deletion PRs quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+check: vet build test race bench bench-smoke obs-smoke net-smoke adapt-smoke dist-smoke chaos ckpt-smoke

@@ -26,7 +26,7 @@
 //   - the link is idle: a tuple that finds nothing written for idleGap is
 //     written through on the caller's thread;
 //   - it reaches BatchSize, which only a sender calling back to back does;
-//   - a Punct, SendCol, CloseSend or Flush on the stream, or Close on the
+//   - a Punct, CloseSend or Flush on the stream, or Close on the
 //     connection, comes after it: buffered tuples always reach the wire
 //     before the frame that follows them;
 //   - the connection's flusher goroutine, kicked when the batch turned
@@ -102,12 +102,6 @@ type Options struct {
 	// and only a sender calling back to back fills it. 1 sends every tuple
 	// in its own frame.
 	BatchSize int
-	// Columnar offers the columnar-batch capability in HELLO: when the
-	// server grants it, Stream.SendCol ships tuple.ColBatch payloads as
-	// TUPLES_COL frames with no per-row materialization on either end.
-	// Against an older server SendCol still works — batches are converted
-	// to row frames client-side.
-	Columnar bool
 	// Trace offers the punctuation-trace capability in HELLO: when the
 	// server grants it (it runs a span collector), every Punct this client
 	// sends carries a fresh trace ID and the local send clock, so the
@@ -116,14 +110,11 @@ type Options struct {
 	// the legacy format.
 	Trace bool
 	// Sequenced offers the tuple-sequencing capability in HELLO: every data
-	// tuple sent on the row path (Send/SendBatch) carries a per-stream
-	// sequence number, making retained-batch resend after reconnect — and
-	// replay against a crash-restored server — idempotent (see wire.CapSeq).
-	// The BIND_ACK watermark trims the retained batch and floors the
-	// counter; Stream.AckedSeq exposes it as the application's replay
-	// resume point. Do not mix with SendCol on the same stream: the
-	// columnar path carries no sequence numbers, and its row fallback
-	// would break the batch's contiguity.
+	// tuple carries a per-stream sequence number, making retained-batch
+	// resend after reconnect — and replay against a crash-restored server —
+	// idempotent (see wire.CapSeq). The BIND_ACK watermark trims the
+	// retained batch and floors the counter; Stream.AckedSeq exposes it as
+	// the application's replay resume point.
 	Sequenced bool
 	// Reconnect enables automatic redial with exponential backoff after a
 	// connection failure; streams are re-bound transparently.
@@ -152,7 +143,6 @@ type Conn struct {
 
 	sess    uint64
 	credits int64
-	colOK   bool   // server granted CapColumnar on the current transport
 	traceOK bool   // server granted CapTrace on the current transport
 	seqOK   bool   // server granted CapSeq on the current transport
 	traceCt uint64 // traces issued; IDs are (session<<32 | ct) to stay unique server-side
@@ -265,9 +255,6 @@ func (c *Conn) connectLocked() error {
 		return fail(err)
 	}
 	hello := wire.Hello{Version: wire.Version, Name: c.opts.Name, Clock: c.opts.Clock()}
-	if c.opts.Columnar {
-		hello.Flags |= wire.CapColumnar
-	}
 	if c.opts.Trace {
 		hello.Flags |= wire.CapTrace
 	}
@@ -345,7 +332,6 @@ func (c *Conn) connectLocked() error {
 	c.w = w
 	c.sess = ack.Session
 	c.credits = int64(ack.Credits)
-	c.colOK = ack.Flags&wire.CapColumnar != 0
 	c.traceOK = ack.Flags&wire.CapTrace != 0
 	c.seqOK = ack.Flags&wire.CapSeq != 0
 	c.broken = false

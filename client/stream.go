@@ -181,89 +181,6 @@ func (s *Stream) autoPunctLocked() {
 	}
 }
 
-// SendCol sends a columnar batch, taking ownership of b. On a connection
-// that negotiated the columnar capability (Options.Columnar against a
-// capable server) the batch goes out as one TUPLES_COL frame — no per-row
-// tuples are materialized on either endpoint; otherwise it is converted to
-// row frames here, so SendCol works against any server. Punctuation marks
-// in the batch are sent as PUNCT frames after the rows (delaying a bound is
-// always sound — it promises strictly less). Like Send, SendCol blocks on
-// the credit window; a transport failure after crediting is not an error —
-// the rows are retained (in row form) and resent on the next transport.
-func (s *Stream) SendCol(b *tuple.ColBatch) error {
-	c := s.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s.err != nil {
-		tuple.PutColBatch(b)
-		return s.err
-	}
-	if s.eos {
-		tuple.PutColBatch(b)
-		return fmt.Errorf("client: send on closed stream %q", s.name)
-	}
-	n := b.Len()
-	if n == 0 && !b.HasPunct() {
-		tuple.PutColBatch(b)
-		return nil
-	}
-	if _, err := c.takeCredits(n, n); err != nil {
-		tuple.PutColBatch(b)
-		return err
-	}
-	// Plain punctuation marks leave the batch and ride PUNCT frames after
-	// the rows (trace-capable, and delaying a bound is always sound).
-	// Checkpoint-barrier marks (Ckpt != 0) stay in the batch on the columnar
-	// path: TUPLES_COL carries the tag at the mark's exact position, which a
-	// PUNCT frame cannot.
-	var marks []tuple.PunctMark
-	if b.HasPunct() {
-		kept := b.Puncts[:0]
-		for _, p := range b.Puncts {
-			if p.Ckpt != 0 && c.colOK {
-				kept = append(kept, p)
-			} else {
-				marks = append(marks, p)
-			}
-		}
-		b.Puncts = kept
-	}
-	if mx, ok := b.MaxTs(); ok && (!s.hasTs || mx > s.maxTs) {
-		s.maxTs, s.hasTs = mx, true
-	}
-	s.sincePunct += n
-	sent := false
-	if c.colOK && (n > 0 || b.HasPunct()) {
-		// Order against anything buffered by row Sends, then ship columnar.
-		if s.flushLocked() == nil && c.writeLocked(wire.TuplesCol{ID: s.id, B: b}) == nil {
-			c.stats.BatchesSent++
-			c.stats.TuplesSent += uint64(n)
-			sent = true
-		}
-	}
-	if !sent {
-		// Row fallback: capability not granted, or the transport died —
-		// either way the rows ride the ordinary batch (and its retry path).
-		// Barrier marks degrade to PUNCT frames here (the row wire path has
-		// no barrier field), exactly like a pre-columnar client.
-		for _, p := range b.Puncts {
-			marks = append(marks, p)
-		}
-		b.Puncts = b.Puncts[:0]
-		if n > 0 {
-			wasEmpty := len(s.batch) == 0
-			s.batch = b.AppendRows(s.batch, nil)
-			s.queuedLocked(wasEmpty)
-		}
-	}
-	tuple.PutColBatch(b)
-	for _, p := range marks {
-		s.punctLocked(p.Ts)
-	}
-	s.autoPunctLocked()
-	return nil
-}
-
 // Punct sends a punctuation promising that no future tuple on this stream
 // will carry a timestamp below ets — local punctuation generation, making
 // the remote wrapper a first-class bound source.

@@ -23,10 +23,6 @@
 //	                           fault injection (panics, drops, a source
 //	                           stall) and verify the fault-tolerance
 //	                           invariants; non-zero exit on violation
-//	etsbench -columnar         benchmark the columnar data plane against
-//	                           the row plane on the filter/project/hash
-//	                           and filter/join/aggregate pipelines and
-//	                           write BENCH_columnar.json
 //	etsbench -obs              measure punctuation-tracing overhead (span
 //	                           collector on vs off on the batched union
 //	                           workload) and write BENCH_obs.json
@@ -79,9 +75,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 0, "override the fault spec's PRNG seed (0 keeps the spec's)")
 	chaosDur := flag.Duration("chaos-duration", 2*time.Second, "how long -chaos feeds the workload")
 	chaosOut := flag.String("chaos-out", "", "optional JSON report file for -chaos")
-	colBench := flag.Bool("columnar", false, "benchmark the columnar data plane vs the row plane")
-	colTuples := flag.Int("columnar-tuples", 2_000_000, "tuples per configuration for -columnar")
-	colOut := flag.String("columnar-out", "BENCH_columnar.json", "output file for -columnar results")
 	adBench := flag.Bool("adaptive", false, "benchmark the adaptive controller vs static configurations on the drifting-skew workload")
 	adTuples := flag.Int("adaptive-tuples", 240_000, "tuples per configuration for -adaptive")
 	adOut := flag.String("adaptive-out", "BENCH_adaptive.json", "output file for -adaptive results")
@@ -124,8 +117,6 @@ func main() {
 		runCkptBench(*ckptTuples, *ckptOut, *ckptBudget, *ckptSpec)
 	case *ckptVerify:
 		runCkptVerify(*ckptSpec, *ckptTuples/10)
-	case *colBench:
-		runColumnarBench(*colTuples, *colOut)
 	case *obsBench:
 		runObsBench(*obsTuples, *obsOut)
 	case *adBench:

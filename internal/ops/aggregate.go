@@ -228,9 +228,11 @@ func (a *Aggregate) Exec(ctx *Ctx) bool {
 	return yield
 }
 
-// accsFor returns (creating as needed) the accumulator row for window w and
-// group key.
-func (a *Aggregate) accsFor(w int64, key tuple.Value) []*acc {
+func (a *Aggregate) accumulate(w int64, t *tuple.Tuple) {
+	var key tuple.Value
+	if a.groupCol >= 0 {
+		key = t.Vals[a.groupCol]
+	}
 	groups := a.buckets[w]
 	if groups == nil {
 		groups = make(map[tuple.Value][]*acc)
@@ -244,15 +246,6 @@ func (a *Aggregate) accsFor(w int64, key tuple.Value) []*acc {
 		}
 		groups[key] = accs
 	}
-	return accs
-}
-
-func (a *Aggregate) accumulate(w int64, t *tuple.Tuple) {
-	var key tuple.Value
-	if a.groupCol >= 0 {
-		key = t.Vals[a.groupCol]
-	}
-	accs := a.accsFor(w, key)
 	for i, spec := range a.aggs {
 		var v tuple.Value
 		if spec.Fn == Count {
@@ -267,16 +260,6 @@ func (a *Aggregate) accumulate(w int64, t *tuple.Tuple) {
 // close emits every window whose end is ≤ bound, in window order with
 // deterministic group order.
 func (a *Aggregate) close(ctx *Ctx, bound tuple.Time) bool {
-	return a.closeInto(bound, func(end tuple.Time, vals []tuple.Value) {
-		ctx.Emit(&tuple.Tuple{Ts: end, Kind: tuple.Data, Vals: vals})
-	})
-}
-
-// closeInto is the emission core shared by the row and columnar paths: it
-// drains every window whose end is ≤ bound, in window order with
-// deterministic group order, handing each result row (ts = window end,
-// freshly allocated vals) to emit.
-func (a *Aggregate) closeInto(bound tuple.Time, emit func(end tuple.Time, vals []tuple.Value)) bool {
 	var ready []int64
 	for w := range a.buckets {
 		end := tuple.Time(w*int64(a.slide) + int64(a.width))
@@ -306,7 +289,7 @@ func (a *Aggregate) closeInto(bound tuple.Time, emit func(end tuple.Time, vals [
 				vals = append(vals, accs[i].result(spec.Fn))
 			}
 			a.rowsOut++
-			emit(end, vals)
+			ctx.Emit(&tuple.Tuple{Ts: end, Kind: tuple.Data, Vals: vals})
 		}
 		delete(a.buckets, w)
 	}

@@ -105,57 +105,6 @@ func (s *Source) Ingest(raw *tuple.Tuple, now tuple.Time) {
 	s.inbox.Push(raw)
 }
 
-// IngestCol stamps a columnar batch of raw data rows according to the
-// stream's timestamp kind as of clock now, assigns sequence numbers, and
-// feeds the ETS estimator — the batch form of Ingest plus the per-tuple
-// bookkeeping Exec performs. Columnar batches bypass the inbox (the caller
-// emits the stamped batch directly), so this is where their tuples
-// "enter the DSMS". The batch must carry no punctuation marks: ETS travels
-// through Ingest/InjectETS/OnDemandETS so its ordering against queued
-// inbox tuples is preserved. IngestCol takes ownership of b's contents and
-// stamps in place.
-func (s *Source) IngestCol(b *tuple.ColBatch, now tuple.Time) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	ts := b.Ts[:n]
-	switch s.tsKind {
-	case tuple.Internal:
-		for i := range ts {
-			ts[i] = now
-		}
-	case tuple.Latent:
-		for i := range ts {
-			ts[i] = tuple.MinTime
-		}
-	case tuple.External:
-		// keep the application timestamps
-	}
-	arr := b.Arrived[:n]
-	for i := range arr {
-		arr[i] = now
-	}
-	seq := b.Seq[:n]
-	for i := range seq {
-		s.seq++
-		seq[i] = s.seq
-	}
-	if s.est != nil {
-		maxTs := ts[0]
-		for _, t := range ts[1:] {
-			if t > maxTs {
-				maxTs = t
-			}
-		}
-		for _, t := range ts {
-			s.est.ObserveTuple(t, now)
-		}
-		s.est.Emit(maxTs)
-	}
-	s.emitted += uint64(n)
-}
-
 // Emitted reports the number of data tuples the source has emitted.
 func (s *Source) Emitted() uint64 { return s.emitted }
 

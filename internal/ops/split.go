@@ -67,11 +67,6 @@ type Split struct {
 	// punctuation that promotes a retarget — the quiescence witness hook the
 	// controller uses to emit EvRetuneApplied.
 	onApply atomic.Pointer[func(barrier tuple.Time)]
-
-	// columnar-path scratch: per-shard gather batches and the vectorized
-	// key-hash column (see ExecCol in colexec.go).
-	colOuts []*tuple.ColBatch
-	hashes  []uint64
 }
 
 // NewSplit builds a splitter routing one input stream to shards out-arcs.
@@ -183,7 +178,7 @@ func (s *Split) noteTs(ts tuple.Time) {
 }
 
 // promote retires the old table if punctuation ts clears a pending barrier.
-// Runs only on the splitter's own goroutine (Exec/ExecCol), which is what
+// Runs only on the splitter's own goroutine (Exec), which is what
 // makes the punctuation a true quiescent point for this arc.
 func (s *Split) promote(ts tuple.Time) {
 	p := s.pending.Load()

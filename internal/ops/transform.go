@@ -66,18 +66,11 @@ func (u *unary) Emitted() uint64 { return u.out }
 // Select is the selection operator σ: data tuples satisfying the predicate
 // pass through unchanged; the rest are consumed silently. Punctuation always
 // passes — a selection never weakens a timestamp bound.
-type Select struct {
-	unary
-	pred    Predicate
-	colPred ColPredicate
-
-	keep    []bool
-	scratch tuple.Tuple
-}
+type Select struct{ unary }
 
 // NewSelect builds a selection operator.
 func NewSelect(name string, schema *tuple.Schema, pred Predicate) *Select {
-	s := &Select{pred: pred}
+	s := &Select{}
 	s.base = base{name: name, inputs: 1, schema: schema}
 	s.apply = func(t *tuple.Tuple, ctx *Ctx) bool {
 		if pred(t) {
@@ -96,8 +89,6 @@ type Project struct {
 	unary
 	idx   []int
 	ident bool // idx is a prefix-identity permutation (idx[i] == i)
-
-	scratchCols []tuple.Col
 }
 
 // NewProject builds a projection keeping the columns at idx, in order.

@@ -23,7 +23,8 @@ import (
 )
 
 // ErrCkptUnsupported reports a graph configuration the barrier protocol
-// cannot checkpoint.
+// cannot checkpoint: an IWP operator outside TSM mode, or two stateful nodes
+// with the same name.
 var ErrCkptUnsupported = errors.New("runtime: graph not checkpointable")
 
 // ckptReport is one node's barrier application: the node itself, the barrier
@@ -80,15 +81,11 @@ func (e *Engine) onBarrier(n *node, id uint64, bound tuple.Time) {
 	}
 }
 
-// ckptSupported verifies the graph can host the barrier protocol: the row
-// data plane only (columnar arcs carry bounds as marks, which cannot carry a
-// barrier tag), every IWP operator in TSM mode (Basic and Latent modes
-// consume punctuation without forwarding it, so a barrier would die there),
-// and distinct names for stateful nodes (segment names must identify them).
+// ckptSupported verifies the graph can host the barrier protocol: every IWP
+// operator in TSM mode (Basic and Latent modes consume punctuation without
+// forwarding it, so a barrier would die there), and distinct names for
+// stateful nodes (segment names must identify them).
 func (e *Engine) ckptSupported() error {
-	if e.columnar {
-		return fmt.Errorf("%w: columnar data plane drops barrier tags", ErrCkptUnsupported)
-	}
 	seen := make(map[string]bool)
 	for _, n := range e.nodes {
 		if m, ok := n.gn.Op.(interface{ Mode() ops.IWPMode }); ok && m.Mode() != ops.TSM {

@@ -287,31 +287,19 @@ func (e *Engine) notePunctOut(n *node, t *tuple.Tuple) {
 		// The node's watermark advanced on account of this trace.
 		e.spans.Record(t.Trace, n.name, obs.PhaseApply, t.Ts)
 	}
-	e.notePunctOutTs(n, t.Ts)
-}
-
-// notePunctOutTs is notePunctOut for a bound carried as batch metadata (a
-// columnar PunctMark) rather than an in-band punct tuple.
-func (e *Engine) notePunctOutTs(n *node, ts tuple.Time) {
 	n.obs.punctOut.Inc()
 	n.punctBoundary = true
 	n.sincePunct = 0
-	if ts == tuple.MaxTime {
+	if t.Ts == tuple.MaxTime {
 		return
 	}
-	v := int64(ts)
+	v := int64(t.Ts)
 	if v > n.obs.wmOut.Load() {
 		n.obs.wmOut.Set(v)
 		if e.trace != nil {
 			e.trace.Emit(metrics.EvWatermarkAdvance, n.name, e.now(), v)
 		}
 	}
-}
-
-// notePunctIn accounts a received punctuation and raises the node's input
-// watermark. Single writer per node.
-func (n *node) notePunctIn(t *tuple.Tuple) {
-	n.notePunctInTs(t.Ts)
 }
 
 // notePunctArrival is the delivery-time superset of notePunctIn: besides
@@ -321,7 +309,7 @@ func (n *node) notePunctIn(t *tuple.Tuple) {
 // dequeue span event for a traced punctuation. port is the input arc (0
 // for a source's ingest feed); trace 0 means untraced.
 func (e *Engine) notePunctArrival(n *node, port int, ts tuple.Time, trace uint64) {
-	n.notePunctInTs(ts)
+	n.notePunctIn(ts)
 	o := n.obs
 	if ts != tuple.MaxTime && port >= 0 && port < len(o.arcWm) {
 		v := int64(ts)
@@ -361,8 +349,9 @@ func (e *Engine) stampPunctTrace(n *node, t *tuple.Tuple) {
 	t.Trace = n.lastInTrace // may stay 0: upstream was never traced
 }
 
-// notePunctInTs is notePunctIn for a bound carried as batch metadata.
-func (n *node) notePunctInTs(ts tuple.Time) {
+// notePunctIn accounts a received punctuation and raises the node's input
+// watermark. Single writer per node.
+func (n *node) notePunctIn(ts tuple.Time) {
 	n.obs.punctIn.Inc()
 	if ts == tuple.MaxTime {
 		return

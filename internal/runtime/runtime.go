@@ -80,16 +80,6 @@ type Options struct {
 	// each data tuple to exactly one arc and broadcast punctuation as
 	// fresh copies, so their fan-out preserves single ownership.
 	Recycle bool
-	// Columnar switches arcs into columnar-capable consumers (operators
-	// implementing ops.ColOperator: selections, projections, splitters,
-	// aggregates) to carrying tuple.ColBatch — per-attribute typed columns
-	// with punctuation as batch metadata — instead of []*tuple.Tuple. Row
-	// operators (sources, IWP joins/unions, sinks) are fed through lossless
-	// boundary conversion, so any graph runs under either setting with
-	// identical results. The four batch flush rules (punct / demand / idle
-	// / delay) apply to columnar pending batches unchanged, so ETS latency
-	// is preserved.
-	Columnar bool
 	// Shards, when ≥ 2, applies the partition rewrite before the graph is
 	// built: every partitionable operator (ops.Partitionable — hash/equi
 	// joins, grouped aggregates, TSM unions) is replicated into Shards
@@ -237,7 +227,6 @@ type Engine struct {
 	maxDelay  time.Duration
 	pool      *tuple.BatchPool
 	recycle   bool
-	columnar  bool
 
 	nodes    []*node
 	srcNode  map[*ops.Source]*node
@@ -284,14 +273,12 @@ type Engine struct {
 }
 
 // portBatch is one arc delivery: a single tuple (the Ingest fast path, no
-// slice involved), a pooled row batch whose slice the receiver returns to
-// the engine's BatchPool, or — on columnar arcs — a ColBatch whose
-// ownership transfers to the receiver.
+// slice involved) or a pooled batch whose slice the receiver returns to the
+// engine's BatchPool.
 type portBatch struct {
 	port int
 	one  *tuple.Tuple
 	many []*tuple.Tuple
-	col  *tuple.ColBatch
 }
 
 type node struct {
@@ -309,13 +296,8 @@ type node struct {
 	ins     []*buffer.Queue
 
 	// Pending output batches, one per out arc. Owned exclusively by the
-	// node's goroutine. Arcs into columnar-capable consumers accumulate in
-	// colPend instead (colArc[i] picks the side); pendCount and the flush
-	// rules cover both.
+	// node's goroutine.
 	pend      [][]*tuple.Tuple
-	colPend   []*tuple.ColBatch
-	colArc    []bool
-	colMode   bool // operator implements ops.ColOperator and Columnar is on
 	pendCount int
 	pendSince time.Time // when pendCount last left zero
 
@@ -339,16 +321,16 @@ type node struct {
 	// idleBlockedOn is the input port charged for the open idle spell (-1
 	// when none); set by enterIdle, consumed by exitIdle. Goroutine-owned.
 	idleBlockedOn int
-	// punctBoundary is set by notePunctOut* and cleared before each Exec
+	// punctBoundary is set by notePunctOut and cleared before each Exec
 	// step: "this step emitted a punctuation". sincePunct counts data
 	// tuples emitted since the last punctuation — zero means every emitted
 	// tuple is bounded and the node is quiescent. Both goroutine-owned.
 	punctBoundary bool
 	sincePunct    int
 
-	// mag is the node's tuple magazine: recycling (ctx.Release) and the
-	// columnar boundary conversion draw from it. Owned by the node
-	// goroutine (one at a time, supervised restarts included).
+	// mag is the node's tuple magazine: recycling (ctx.Release) pushes into
+	// it. Owned by the node goroutine (one at a time, supervised restarts
+	// included).
 	mag tuple.Magazine
 
 	// srcDone records that a source node has ingested EOS; goroutine-owned
@@ -456,18 +438,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			e.srcNodes = append(e.srcNodes, n)
 		}
 	}
-	// Columnar mode: a node whose operator has a columnar fast path
-	// consumes ColBatch deliveries; every arc into such a node carries
-	// columnar batches, every other arc stays on rows with conversion at
-	// the producer.
-	e.columnar = opts.Columnar
-	if e.columnar {
-		for _, n := range e.nodes {
-			if _, ok := n.gn.Op.(ops.ColOperator); ok {
-				n.colMode = true
-			}
-		}
-	}
 	for _, gn := range g.Nodes() {
 		n := e.nodes[gn.ID]
 		for _, a := range gn.Out {
@@ -475,11 +445,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			n.outPorts = append(n.outPorts, a.Port)
 		}
 		n.pend = make([][]*tuple.Tuple, len(n.outs))
-		n.colPend = make([]*tuple.ColBatch, len(n.outs))
-		n.colArc = make([]bool, len(n.outs))
-		for i, c := range n.outs {
-			n.colArc[i] = e.columnar && c.colMode
-		}
 	}
 	e.instrument()
 	return e, nil
@@ -628,10 +593,6 @@ func (e *Engine) Stop() {
 
 // flushArc sends out arc i's pending batch downstream.
 func (e *Engine) flushArc(n *node, i int) {
-	if n.colArc[i] {
-		e.flushColArc(n, i)
-		return
-	}
 	b := n.pend[i]
 	if len(b) == 0 {
 		return
@@ -665,10 +626,7 @@ func (e *Engine) flushPending(n *node) {
 }
 
 // emit appends t to every out arc's pending batch, applying the flush rules:
-// punctuation flushes immediately, full batches flush their arc. On columnar
-// arcs the tuple is decomposed into the arc's pending ColBatch (punctuation
-// becomes a metadata mark); a tuple copied into columns on every arc is no
-// longer referenced anywhere and is recycled.
+// punctuation flushes immediately, full batches flush their arc.
 func (e *Engine) emit(n *node, t *tuple.Tuple) {
 	if len(n.outs) == 0 {
 		return
@@ -681,13 +639,7 @@ func (e *Engine) emit(n *node, t *tuple.Tuple) {
 		e.stampPunctTrace(n, t)
 	}
 	bs := int(n.batchSize.Load())
-	shared := false // t's pointer stored on at least one row arc
 	for i := range n.outs {
-		if n.colArc[i] {
-			e.colAppendTuple(n, i, t)
-			continue
-		}
-		shared = true
 		b := n.pend[i]
 		if b == nil {
 			b = e.pool.Get()
@@ -711,16 +663,12 @@ func (e *Engine) emit(n *node, t *tuple.Tuple) {
 	} else {
 		n.sincePunct++
 	}
-	if !shared && e.recycle {
-		n.mag.Put(t) // fully copied into columnar batches
-	}
 }
 
-// appendArc appends t to out arc i's row pending batch, applying the
-// per-arc flush rules. note controls punctuation accounting (false when the
-// caller already accounted the punct, e.g. a columnar batch being converted
-// after its marks were counted).
-func (e *Engine) appendArc(n *node, i int, t *tuple.Tuple, note bool) {
+// emitTo appends t to out arc i's pending batch only — the routed-emit path
+// splitters use. The punctuation flush rule applies per arc, preserving the
+// invariant that a punct (EOS included) is always its batch's last element.
+func (e *Engine) emitTo(n *node, i int, t *tuple.Tuple) {
 	if n.pendCount == 0 {
 		n.pendSince = time.Now()
 	}
@@ -732,10 +680,8 @@ func (e *Engine) appendArc(n *node, i int, t *tuple.Tuple, note bool) {
 	n.pend[i] = b
 	n.pendCount++
 	if t.IsPunct() {
-		if note {
-			e.stampPunctTrace(n, t)
-			e.notePunctOut(n, t)
-		}
+		e.stampPunctTrace(n, t)
+		e.notePunctOut(n, t)
 		if e.spans != nil && t.Trace != 0 {
 			e.spans.Record(t.Trace, n.outs[i].name, obs.PhaseEnqueue, t.Ts)
 		}
@@ -746,33 +692,6 @@ func (e *Engine) appendArc(n *node, i int, t *tuple.Tuple, note bool) {
 			e.flushArc(n, i)
 		}
 	}
-}
-
-// emitTo appends t to out arc i's pending batch only — the routed-emit path
-// splitters use. The punctuation flush rule applies per arc, preserving the
-// invariant that a punct (EOS included) is always its batch's last element.
-func (e *Engine) emitTo(n *node, i int, t *tuple.Tuple) {
-	if n.colArc[i] {
-		if n.pendCount == 0 {
-			n.pendSince = time.Now()
-		}
-		punct := t.IsPunct()
-		if punct {
-			e.stampPunctTrace(n, t)
-		}
-		e.colAppendTuple(n, i, t)
-		if punct {
-			e.notePunctOut(n, t)
-			e.flushArc(n, i)
-		} else {
-			n.sincePunct++
-		}
-		if e.recycle {
-			n.mag.Put(t)
-		}
-		return
-	}
-	e.appendArc(n, i, t, true)
 }
 
 // runNode is the per-operator scheduling loop. It is (re)entered by the
@@ -793,17 +712,9 @@ func (e *Engine) runNode(n *node) {
 	if e.recycle {
 		// Each node goroutine recycles through its own magazine so the
 		// per-tuple release costs a stack push, not a shared-pool access.
-		// The magazine lives on the node (not this stack) because boundary
-		// row⇄column conversion draws from it too and state must survive a
-		// supervisor restart.
+		// The magazine lives on the node (not this stack) so its contents
+		// survive a supervisor restart.
 		ctx.Release = n.mag.Put
-	}
-	colCtx := &ops.ColCtx{
-		EmitCol:   func(b *tuple.ColBatch) { e.emitCol(n, b) },
-		EmitColTo: func(i int, b *tuple.ColBatch) { e.emitColTo(n, i, b) },
-		Now:       e.now,
-		FreeCol:   tuple.PutColBatch,
-		OnBarrier: ctx.OnBarrier,
 	}
 	if src != nil {
 		// Source nodes pull from their inbox; route the engine's fan-in
@@ -845,10 +756,6 @@ func (e *Engine) runNode(n *node) {
 		e.shedOverflow(n, ctx)
 	}
 	deliver := func(pb portBatch) {
-		if pb.col != nil {
-			e.deliverCol(n, ctx, colCtx, pb)
-			return
-		}
 		if pb.one != nil {
 			deliverOne(pb.port, pb.one)
 			return

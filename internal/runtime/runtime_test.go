@@ -435,7 +435,9 @@ func TestRuntimeBatchingPreservesPunctuationLatency(t *testing.T) {
 }
 
 // TestRuntimeBatchedEOSDrains covers EOS riding in a partially-filled batch:
-// termination must not wait for batch fill or delay expiry.
+// termination must not wait for batch fill or delay expiry. One source is
+// closed by CloseStream, the other by an EOS at the end of an IngestBatch,
+// which must terminate it the same way.
 func TestRuntimeBatchedEOSDrains(t *testing.T) {
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
 	e, err := New(g, Options{
@@ -447,12 +449,13 @@ func TestRuntimeBatchedEOSDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Start()
+	var raws []*tuple.Tuple
 	for i := 0; i < 17; i++ { // deliberately not a multiple of any batch size
 		e.Ingest(s1, tuple.NewData(0, tuple.Int(int64(i))))
-		e.Ingest(s2, tuple.NewData(0, tuple.Int(int64(i))))
+		raws = append(raws, tuple.NewData(0, tuple.Int(int64(i))))
 	}
 	e.CloseStream(s1)
-	e.CloseStream(s2)
+	e.IngestBatch(s2, append(raws, tuple.EOS()))
 	done := make(chan struct{})
 	go func() { e.Wait(); close(done) }()
 	select {

@@ -34,27 +34,12 @@ type StreamSink interface {
 	Close()
 }
 
-// ColSink is an optional extension of StreamSink: a sink that accepts a
-// columnar batch without row materialization (ownership of the batch
-// transfers). Sessions fall back to a row conversion for sinks without it,
-// so TUPLES_COL works against every backend.
-type ColSink interface {
-	IngestCol(b *tuple.ColBatch)
-}
-
 // Ingestor is the slice of runtime.Engine the engine backend needs; an
 // interface so server does not import runtime (and so tests can fake it).
 type Ingestor interface {
 	Ingest(src *ops.Source, raw *tuple.Tuple)
 	IngestBatch(src *ops.Source, raws []*tuple.Tuple)
 	CloseStream(src *ops.Source)
-}
-
-// ColIngestor is the optional columnar extension of Ingestor
-// (runtime.Engine implements it); engine sinks forward columnar batches
-// whole when the engine does.
-type ColIngestor interface {
-	IngestColBatch(src *ops.Source, b *tuple.ColBatch)
 }
 
 // NewEngineBackend adapts a running engine to the server: lookup resolves
@@ -86,18 +71,6 @@ func (s *engineSink) Ingest(t *tuple.Tuple)         { s.ing.Ingest(s.src, t) }
 func (s *engineSink) IngestBatch(ts []*tuple.Tuple) { s.ing.IngestBatch(s.src, ts) }
 func (s *engineSink) Source() *ops.Source           { return s.src }
 func (s *engineSink) Close()                        { s.ing.CloseStream(s.src) }
-
-// IngestCol forwards a columnar batch whole when the engine can take one,
-// else converts to rows at this last boundary.
-func (s *engineSink) IngestCol(b *tuple.ColBatch) {
-	if ci, ok := s.ing.(ColIngestor); ok {
-		ci.IngestColBatch(s.src, b)
-		return
-	}
-	rows := b.AppendRows(nil, nil)
-	tuple.PutColBatch(b)
-	s.ing.IngestBatch(s.src, rows)
-}
 
 // NewCallbackBackend serves exactly one stream, delivering every tuple to a
 // callback — the adapter the legacy text wrapper uses. deliver must be safe

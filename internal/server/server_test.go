@@ -139,6 +139,23 @@ func (tc *testConn) bind(id uint32, stream string, ts tuple.TSKind, delta tuple.
 	return ack
 }
 
+// waitCounts polls the backend until it has recorded exactly the given
+// data and punctuation counts and closed state.
+func waitCounts(t *testing.T, back *recBackend, data, punct int, closed bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d, p, c := back.counts()
+		if d == data && p == punct && c == closed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout: data=%d punct=%d closed=%v, want %d/%d/%v", d, p, c, data, punct, closed)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSessionIngest(t *testing.T) {
 	back := newRecBackend(sensorSchema(), nil)
 	srv, err := server.Listen("127.0.0.1:0", server.Options{Backend: back})
@@ -248,6 +265,89 @@ func TestUnboundTupleIsProtocolError(t *testing.T) {
 	e, ok := f.(wire.Error)
 	if !ok || e.Code != wire.ErrCodeProtocol {
 		t.Fatalf("expected protocol ERROR, got %+v", f)
+	}
+}
+
+// TestRetiredCapabilityBitNotGranted pins the retirement of capability bit
+// 1<<0 (it was the columnar capability): a client that still offers it is answered with
+// exactly the capabilities that exist, and the session carries on with row
+// frames.
+func TestRetiredCapabilityBitNotGranted(t *testing.T) {
+	back := newRecBackend(sensorSchema(), nil)
+	srv, err := server.Listen("127.0.0.1:0", server.Options{Backend: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	tc := dialWire(t, srv.Addr().String())
+	defer tc.conn.Close()
+	tc.send(wire.Hello{Version: wire.Version, Name: "old", Clock: 0, Flags: 1<<0 | wire.CapSeq})
+	ack, ok := tc.recv().(wire.HelloAck)
+	if !ok {
+		t.Fatal("expected HELLO_ACK")
+	}
+	if ack.Flags != wire.CapSeq {
+		t.Fatalf("HELLO_ACK flags = %#x, want exactly CapSeq (%#x)", ack.Flags, wire.CapSeq)
+	}
+	if back := tc.bind(1, "sensors", tuple.External, 0); back.Err != "" {
+		t.Fatalf("bind: %s", back.Err)
+	}
+	batch := wire.Tuples{ID: 1}
+	for i := 0; i < 4; i++ {
+		batch.Batch = append(batch.Batch, tuple.NewData(tuple.Time(10+i), tuple.Int(int64(i)), tuple.Float(0.5)))
+	}
+	tc.send(batch)
+	tc.send(wire.EOS{ID: 1})
+	waitCounts(t, back, 4, 0, true)
+}
+
+// TestRetiredFrameType12IsProtocolError pins the retirement of frame type 12
+// (it was TUPLES_COL): what came before it on the session is delivered, the
+// frame itself earns a protocol ERROR, and the session ends.
+func TestRetiredFrameType12IsProtocolError(t *testing.T) {
+	back := newRecBackend(sensorSchema(), nil)
+	srv, err := server.Listen("127.0.0.1:0", server.Options{Backend: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	tc := dialWire(t, srv.Addr().String())
+	defer tc.conn.Close()
+	tc.hello(0)
+	if back := tc.bind(1, "sensors", tuple.External, 0); back.Err != "" {
+		t.Fatalf("bind: %s", back.Err)
+	}
+	batch := wire.Tuples{ID: 1}
+	for i := 0; i < 10; i++ {
+		batch.Batch = append(batch.Batch, tuple.NewData(tuple.Time(10+i), tuple.Int(int64(i)), tuple.Float(0.5)))
+	}
+	tc.send(batch)
+	// A well-formed empty TUPLES_COL for stream 1 as its last encoder wrote
+	// it: u32 length, type byte 12, then stream id, 0 rows, 0 puncts, 0 columns.
+	raw := []byte{7, 0, 0, 0, 12, 1, 0, 0, 0, 0, 0, 0}
+	if _, err := tc.conn.Write(raw); err != nil {
+		t.Fatalf("write type-12 frame: %v", err)
+	}
+	e, ok := tc.recv().(wire.Error)
+	if !ok || e.Code != wire.ErrCodeProtocol {
+		t.Fatalf("expected protocol ERROR, got %+v", e)
+	}
+	if !strings.Contains(e.Msg, "unknown frame type 12") {
+		t.Errorf("ERROR message %q does not name the unknown type", e.Msg)
+	}
+	tc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f, err := tc.r.Next(); err != io.EOF {
+		t.Fatalf("session still open after ERROR: frame %v, err %v", f, err)
+	}
+	waitCounts(t, back, 10, 0, false)
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Sessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d session(s) still live after the protocol error", srv.Sessions())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -30,7 +30,7 @@ type session struct {
 
 	skew  SkewEstimator
 	binds map[uint32]*binding
-	caps  uint16 // capability bits granted in HELLO_ACK (CapColumnar, …)
+	caps  uint16 // capability bits granted in HELLO_ACK (CapSeq, CapTrace)
 
 	consumed uint32 // tuples consumed since the last credit grant
 
@@ -116,7 +116,7 @@ func (c *session) runBinary(br *bufio.Reader) {
 		ver = hello.Version
 	}
 	// Grant the intersection of the client's offered capabilities and ours.
-	c.caps = hello.Flags & (wire.CapColumnar | wire.CapSeq)
+	c.caps = hello.Flags & wire.CapSeq
 	if c.s.spans != nil {
 		// Trace context is only useful (and only decoded into span events)
 		// when a collector exists server-side.
@@ -188,39 +188,6 @@ func (c *session) runBinary(br *bufio.Reader) {
 				s.m.tuplesIn.Add(uint64(len(batch)))
 				b.st.tuples.Add(uint64(len(batch)))
 				b.st.sink.IngestBatch(batch)
-			}
-			c.grant(n)
-		case wire.TuplesCol:
-			if c.caps&wire.CapColumnar == 0 {
-				tuple.PutColBatch(f.B)
-				c.protoError("TUPLES_COL without negotiated capability")
-				return
-			}
-			b := c.active(f.ID)
-			if b == nil {
-				tuple.PutColBatch(f.B)
-				c.protoError("TUPLES_COL on unbound stream id %d", f.ID)
-				return
-			}
-			// Punctuation marks in a batch follow the PUNCT frame policy:
-			// accepted only where the client is a timestamp authority.
-			if f.B.HasPunct() {
-				if b.st.sch.TS == tuple.External {
-					s.m.punctIn.Add(uint64(len(f.B.Puncts)))
-				} else {
-					s.m.punctIgnored.Add(uint64(len(f.B.Puncts)))
-					f.B.Puncts = f.B.Puncts[:0]
-				}
-			}
-			n := uint32(f.B.Len())
-			s.m.tuplesIn.Add(uint64(n))
-			b.st.tuples.Add(uint64(n))
-			if cs, ok := b.st.sink.(ColSink); ok {
-				cs.IngestCol(f.B)
-			} else {
-				rows := f.B.AppendRows(nil, nil)
-				tuple.PutColBatch(f.B)
-				b.st.sink.IngestBatch(rows)
 			}
 			c.grant(n)
 		case wire.Punct:

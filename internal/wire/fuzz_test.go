@@ -7,22 +7,19 @@ import (
 	"repro/internal/tuple"
 )
 
+// retiredFrameType is the frame type number TUPLES_COL had (see the reserved
+// note beside the FrameType constants).
+const retiredFrameType = 12
+
 // FuzzDecodeFrame throws arbitrary bytes at every frame decoder. The
 // properties checked:
 //
 //   - no panic, no unbounded allocation (the corpus runs under the fuzzer's
 //     memory limit; maxArity/maxFields/MaxFrame are the guards);
 //   - a payload that decodes must re-encode and decode to the same frame
-//     (decode ∘ encode ∘ decode = decode — canonical form is a fixpoint).
-func colSeedFrame() Frame {
-	b := tuple.NewColBatch(0)
-	b.AppendPunct(3)
-	b.AppendTuple(tuple.NewData(7, tuple.Int(1), tuple.String_("c"), tuple.Value{}))
-	b.AppendTuple(tuple.NewData(8, tuple.Float(0.5), tuple.String_(""), tuple.Bool(true)))
-	b.AppendPunct(9)
-	return TuplesCol{ID: 2, B: b}
-}
-
+//     (decode ∘ encode ∘ decode = decode — canonical form is a fixpoint);
+//   - frame type 12 (the retired TUPLES_COL) never decodes, whatever the
+//     payload.
 func FuzzDecodeFrame(f *testing.F) {
 	seedFrames := []Frame{
 		Hello{Version: Version, Name: "fuzz", Clock: 99},
@@ -37,7 +34,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		Demand{ID: 0, Credits: 10},
 		EOS{ID: 3},
 		Error{Code: ErrCodeProtocol, Msg: "bad"},
-		colSeedFrame(),
 		PlanDeploy{Plan: 11, Spec: []byte{0x01, 0x02, 0x03}},
 		PlanDeploy{Plan: 12},
 		PlanAck{Plan: 11, Err: "no such stream"},
@@ -50,9 +46,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(byte(TypeTuple), []byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(byte(250), []byte{})
+	// A TUPLES_COL payload as the last release with the columnar plane
+	// encoded it (stream 2; puncts 3 and 9 around two three-column rows).
+	f.Add(byte(retiredFrameType), []byte{
+		0x02, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x02, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0xff, 0x01, 0x01, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, 0x03, 0x01,
+		0x01, 0x63, 0x00, 0x04, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+	})
 
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		fr, err := DecodeFrame(FrameType(typ), payload, nil)
+		if typ == retiredFrameType && err == nil {
+			t.Fatalf("retired frame type %d decoded as %T (payload %x)", typ, fr, payload)
+		}
 		if err != nil {
 			return
 		}

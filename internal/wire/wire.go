@@ -99,6 +99,8 @@ const (
 	TypeEOS FrameType = 10
 	// TypeError reports a terminal condition and closes the session.
 	TypeError FrameType = 11
+	// 12 is reserved: it was TUPLES_COL, retired with the columnar data
+	// plane. It decodes as an unknown frame type and must not be reassigned.
 )
 
 func (t FrameType) String() string {
@@ -125,8 +127,6 @@ func (t FrameType) String() string {
 		return "EOS"
 	case TypeError:
 		return "ERROR"
-	case TypeTuplesCol:
-		return "TUPLES_COL"
 	case TypePlanDeploy:
 		return "PLAN_DEPLOY"
 	case TypePlanAck:
@@ -184,7 +184,7 @@ type HelloAck struct {
 	// many data tuples before it must wait for a DEMAND grant.
 	Credits uint32
 	// Flags echoes the subset of the client's HELLO capability bits the
-	// server granted (CapColumnar, …). Encoded as an optional trailing
+	// server granted (CapTrace, CapSeq). Encoded as an optional trailing
 	// field only when non-zero, so version-1 decoders that reject trailing
 	// bytes still accept acks from capability-free negotiations — and a
 	// capability-bearing ack only ever goes to a client that asked for the
@@ -271,6 +271,10 @@ type Punct struct {
 	Trace uint64
 	Clock int64
 }
+
+// Capability bit 1<<0 is reserved: it offered TUPLES_COL frames and was
+// retired with the columnar data plane. A server never grants it and it must
+// not be reassigned.
 
 // CapTrace is the HELLO/HELLO_ACK capability bit for punctuation trace
 // context on PUNCT frames. A client that sets it offers trace IDs; the
@@ -465,6 +469,11 @@ func (d *decoder) str() string {
 	d.off += int(n)
 	return s
 }
+
+// remaining reports the unconsumed payload length — the allocation bound
+// for count-prefixed sections (a hostile count must not out-allocate the
+// bytes actually on the wire).
+func (d *decoder) remaining() int { return len(d.b) - d.off }
 
 // done verifies the whole payload was consumed; trailing bytes are a
 // protocol error (they would mask version-skew bugs silently otherwise).
@@ -768,14 +777,6 @@ func decodeFrame(typ FrameType, payload []byte, mag *tuple.Magazine, batch []*tu
 	case TypeError:
 		f := Error{Code: d.u16(), Msg: d.str()}
 		return f, d.done()
-	case TypeTuplesCol:
-		f := TuplesCol{ID: d.u32()}
-		f.B = d.tuplesCol()
-		if err := d.done(); err != nil {
-			tuple.PutColBatch(f.B)
-			return nil, err
-		}
-		return f, nil
 	case TypePlanDeploy:
 		f := PlanDeploy{Plan: d.u64(), Spec: d.specBytes()}
 		return f, d.done()

@@ -335,3 +335,30 @@ func mustDecode(t *testing.T, typ FrameType, payload []byte) Frame {
 	}
 	return f
 }
+
+// TestHelloAckFlagsCompat pins the capability handshake's backward
+// compatibility: a flag-free ack encodes without the trailing field (so
+// strict legacy decoders accept it), and a legacy flag-free payload decodes
+// on a current endpoint as Flags == 0.
+func TestHelloAckFlagsCompat(t *testing.T) {
+	plain := HelloAck{Version: Version, Session: 9, Credits: 100}
+	legacy := plain.encode(nil)
+	withFlags := HelloAck{Version: Version, Session: 9, Credits: 100, Flags: CapSeq}.encode(nil)
+	if len(withFlags) != len(legacy)+2 {
+		t.Fatalf("flagged ack must append exactly one u16: %d vs %d", len(withFlags), len(legacy))
+	}
+	got, err := DecodeFrame(TypeHelloAck, legacy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.(HelloAck) != plain {
+		t.Fatalf("legacy ack decoded as %+v", got)
+	}
+	got, err = DecodeFrame(TypeHelloAck, withFlags, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack := got.(HelloAck); ack.Flags != CapSeq {
+		t.Fatalf("flags lost: %+v", ack)
+	}
+}
