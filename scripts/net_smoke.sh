@@ -2,9 +2,8 @@
 # Networked-ingestion smoke test: a full loopback round trip under the race
 # detector. The netmon example runs two wire-protocol clients (busy backbone,
 # quiet mgmt with local punctuation) against a session server feeding the
-# concurrent runtime; then a scaled-down etsbench -net run measures the
-# remote-vs-in-process latency ratio and performs the kill-the-client
-# watchdog check (non-zero exit if the engine stalls or never forces ETS).
+# concurrent runtime. (The kill-the-client watchdog check is a Go test,
+# TestKillTheClient in client/.)
 set -eu
 
 workdir=$(mktemp -d)
@@ -27,21 +26,4 @@ grep -q 'tuples over the wire: [1-9]' "$workdir/netmon.out" || {
     exit 1
 }
 
-echo "net-smoke: etsbench -net (scaled down, -race) + kill-the-client check"
-go run -race ./cmd/etsbench -net -net-tuples 20000 \
-    -net-out "$workdir/BENCH_net.json" >"$workdir/net.out" 2>&1 || {
-    echo "net-smoke: etsbench -net failed" >&2
-    cat "$workdir/net.out" >&2
-    exit 1
-}
-grep -q '"net_vs_inproc_p50_x"' "$workdir/BENCH_net.json" || {
-    echo "net-smoke: report missing latency ratio" >&2
-    cat "$workdir/BENCH_net.json" >&2
-    exit 1
-}
-grep -q '"deadlock_free": true' "$workdir/BENCH_net.json" || {
-    echo "net-smoke: kill-the-client left the engine wedged" >&2
-    cat "$workdir/BENCH_net.json" >&2
-    exit 1
-}
 echo "net-smoke: OK"
