@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-join obs-smoke net-smoke dist-smoke fuzz-smoke loc check
+.PHONY: all build vet test race bench bench-smoke bench-join obs-smoke net-smoke dist-smoke fuzz-smoke loc knobs check
 
 all: check
 
@@ -73,5 +73,17 @@ fuzz-smoke:
 # Non-test Go lines outside the benchmark: the count deletion PRs quote.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+
+# Independently settable values: fields per options struct (a line like
+# `MinBatch, MaxBatch int` counts twice) and streamd's flags. Deletion PRs
+# quote this before and after, next to `make loc`.
+knobs:
+	@for t in internal/runtime internal/adapt client internal/server; do \
+		printf '%s.Options fields: ' $$t; \
+		$(GO) doc ./$$t Options | awk '/^type Options struct/{s=1;next} /^}/{s=0} \
+			s && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)* /) \
+			{n += split(substr($$0, RSTART, RLENGTH), a, ",")} END{print n+0}'; \
+	done
+	@printf 'streamd flags: '; grep -cE 'flag\.(Bool|String|Int|Int64|Duration|Func)(Var)?\(' cmd/streamd/main.go
 
 check: vet build test race bench bench-smoke obs-smoke net-smoke dist-smoke

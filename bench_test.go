@@ -343,12 +343,12 @@ func buildRuntimeUnion(b *testing.B, opts runtime.Options) (*runtime.Engine, *op
 
 // BenchmarkRuntimeThroughput measures the concurrent engine end to end:
 // PerTuple is the unbatched baseline (BatchSize 1, one channel send and one
-// heap tuple per arc hop); Batched64 is the pooled, micro-batched data plane
-// at the default batch size.
+// heap tuple per arc hop); Batched64 is the micro-batched data plane at the
+// default batch size.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	b.Run("PerTuple", func(b *testing.B) {
 		e, s1, s2 := buildRuntimeUnion(b, runtime.Options{
-			OnDemandETS: true, ChannelDepth: 1024, BatchSize: 1,
+			OnDemandETS: true, BatchSize: 1,
 		})
 		e.Start()
 		t := tuple.NewData(0, tuple.Int(1))
@@ -364,7 +364,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	})
 	b.Run("Batched64", func(b *testing.B) {
 		e, s1, s2 := buildRuntimeUnion(b, runtime.Options{
-			OnDemandETS: true, ChannelDepth: 1024, BatchSize: 64, Recycle: true,
+			OnDemandETS: true, BatchSize: 64,
 		})
 		e.Start()
 		const span = 64

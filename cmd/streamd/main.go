@@ -52,13 +52,12 @@ type input struct {
 }
 
 type options struct {
-	noETS     bool
-	stats     bool
-	trace     bool
-	metrics   string
-	linger    time.Duration
-	chaos     string
-	chaosSeed int64
+	noETS   bool
+	stats   bool
+	trace   bool
+	metrics string
+	linger  time.Duration
+	chaos   string
 
 	listen     string
 	drainGrace time.Duration
@@ -89,7 +88,6 @@ func main() {
 	flag.StringVar(&opts.metrics, "metrics", "", "serve live metrics over HTTP on this address (e.g. 127.0.0.1:9151, :0 for ephemeral)")
 	flag.DurationVar(&opts.linger, "linger", 0, "keep running this long after the replay ends (lets scrapers collect)")
 	flag.StringVar(&opts.chaos, "chaos", "", "fault spec applied at replay ingestion — drop=P and skew=P:MAX faults (see internal/fault.ParseSpec)")
-	flag.Int64Var(&opts.chaosSeed, "chaos-seed", 0, "override the -chaos spec's PRNG seed (0 keeps the spec's)")
 	flag.StringVar(&opts.listen, "listen", "", "network mode: serve the wire-protocol ingest server on this address instead of replaying -in traces (e.g. 127.0.0.1:7433, :0 for ephemeral)")
 	flag.DurationVar(&opts.drainGrace, "drain-grace", 2*time.Second, "network mode: how long SIGINT lets sessions finish before their connections are cut")
 	flag.DurationVar(&opts.srcTimeout, "source-timeout", 0, "network mode: arm the source-liveness watchdog — a silent source has ETS forced after this long (0 disables)")
@@ -205,7 +203,7 @@ func serve(ddl, q string, opts options) error {
 	spans := obs.New(obs.DefaultRingSize)
 	spans.SetClock(func() int64 { return int64(clock()) })
 	spans.Instrument(reg)
-	ropts := runtime.Options{
+	re, err := e.BuildRuntime(runtime.Options{
 		OnDemandETS:   !opts.noETS,
 		Metrics:       reg,
 		Trace:         tr,
@@ -213,11 +211,7 @@ func serve(ddl, q string, opts options) error {
 		Now:           clock,
 		Spans:         spans,
 		MaxQueueLen:   opts.maxQueue,
-	}
-	if opts.adaptive {
-		ropts.Adaptive = &runtime.AdaptiveOptions{}
-	}
-	re, err := e.BuildRuntime(ropts)
+	})
 	if err != nil {
 		return err
 	}
@@ -285,7 +279,7 @@ func serve(ddl, q string, opts options) error {
 
 	var ctl *adapt.Controller
 	if opts.adaptive {
-		ctl = adapt.Attach(re)
+		ctl = adapt.New(re, nil)
 	}
 	re.Start()
 	rdy.serving(re.Snapshot)
@@ -522,9 +516,6 @@ func run(ddl, q string, ins []input, opts options) error {
 		cfg, err := fault.ParseSpec(opts.chaos)
 		if err != nil {
 			return err
-		}
-		if opts.chaosSeed != 0 {
-			cfg.Seed = opts.chaosSeed
 		}
 		inj = fault.New(cfg)
 	}

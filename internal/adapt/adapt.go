@@ -49,12 +49,55 @@ const probeHysteresis = 0.8
 // tick for no throughput.
 const rateSettleDiv = 20
 
+// Options tunes the controller. The zero value enables every actuator with
+// the defaults below; the No* fields disable individual actuators.
+type Options struct {
+	// Interval is the controller tick (observe→decide cadence). Default
+	// 10 ms.
+	Interval time.Duration
+	// NoBatchTune disables per-node batch-size hill climbing.
+	NoBatchTune bool
+	// NoRebalance disables splitter bucket re-assignment.
+	NoRebalance bool
+	// NoJoinReorder disables multiway-join probe reordering.
+	NoJoinReorder bool
+	// MinBatch/MaxBatch bound the batch-size hill climb (defaults 1 and
+	// 1024).
+	MinBatch, MaxBatch int
+	// TargetP95 is the latency guard: while the observed p95 (from the
+	// Latency reservoir) exceeds it, the tuner shrinks batches instead of
+	// growing them. 0 disables the guard.
+	TargetP95 time.Duration
+	// Latency, when non-nil, is the sink-observed latency reservoir the
+	// guard reads — typically the embedder's existing end-to-end latency
+	// instrument.
+	Latency *metrics.Reservoir
+	// SkewThreshold is the partition.Skew level above which a rebalance is
+	// considered (default 0.25).
+	SkewThreshold float64
+	// RebalanceMinInterval is the cool-down between rebalances of the same
+	// operator (default 20× Interval).
+	RebalanceMinInterval time.Duration
+	// BarrierLead is added to the splitters' max observed event timestamp
+	// when picking a retarget barrier, so the fence sits in the near
+	// future of event time (default: one tick's worth of observed
+	// watermark advance, minimum 1).
+	BarrierLead tuple.Time
+}
+
+// defaultInterval is the controller tick when Options.Interval is zero.
+const defaultInterval = 10 * time.Millisecond
+
+// defaultMaxBatch caps batch-size hill climbing when Options.MaxBatch is
+// zero.
+const defaultMaxBatch = 1024
+
 // Controller drives one engine's observe→decide→apply loop. Create with
-// New or Attach, then either Start/Stop the timer goroutine or call Step
+// New, then either Start/Stop the timer goroutine or call Step
 // directly (deterministic ticks for tests and benches).
 type Controller struct {
 	e        *runtime.Engine
-	o        runtime.AdaptiveOptions
+	o        Options
 	interval time.Duration
 	minBatch int
 	maxBatch int
@@ -113,8 +156,8 @@ type joinTuner struct {
 // engine graph is inspected once, here: nodes with out arcs get batch
 // tuners, splitter groups get rebalance state and their OnApply trace
 // hooks, multiway equi-joins get probe tuners.
-func New(e *runtime.Engine, opts *runtime.AdaptiveOptions) *Controller {
-	var o runtime.AdaptiveOptions
+func New(e *runtime.Engine, opts *Options) *Controller {
+	var o Options
 	if opts != nil {
 		o = *opts
 	}
@@ -130,13 +173,13 @@ func New(e *runtime.Engine, opts *runtime.AdaptiveOptions) *Controller {
 		done:     make(chan struct{}),
 	}
 	if c.interval <= 0 {
-		c.interval = runtime.DefaultAdaptInterval
+		c.interval = defaultInterval
 	}
 	if c.minBatch <= 0 {
 		c.minBatch = 1
 	}
 	if c.maxBatch <= 0 {
-		c.maxBatch = runtime.DefaultAdaptMaxBatch
+		c.maxBatch = defaultMaxBatch
 	}
 	if c.maxBatch < c.minBatch {
 		c.maxBatch = c.minBatch
@@ -197,12 +240,6 @@ func (c *Controller) watchGroup(g runtime.ShardGroup) *groupTuner {
 	}
 	c.groups = append(c.groups, gt)
 	return gt
-}
-
-// Attach builds a controller from the engine's own Options.Adaptive (nil
-// Adaptive attaches with all defaults).
-func Attach(e *runtime.Engine) *Controller {
-	return New(e, e.EngineOptions().Adaptive)
 }
 
 // Start launches the tick goroutine. Idempotent.

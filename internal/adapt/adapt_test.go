@@ -52,11 +52,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestDefaults(t *testing.T) {
 	e, _, _, _ := buildPipeline(t, runtime.Options{})
-	c := Attach(e) // nil Options.Adaptive → all defaults
-	if c.Interval() != runtime.DefaultAdaptInterval {
-		t.Errorf("Interval = %v, want %v", c.Interval(), runtime.DefaultAdaptInterval)
+	c := New(e, nil) // nil options → all defaults
+	if c.Interval() != defaultInterval {
+		t.Errorf("Interval = %v, want %v", c.Interval(), defaultInterval)
 	}
-	if c.minBatch != 1 || c.maxBatch != runtime.DefaultAdaptMaxBatch {
+	if c.minBatch != 1 || c.maxBatch != defaultMaxBatch {
 		t.Errorf("batch bounds = [%d,%d]", c.minBatch, c.maxBatch)
 	}
 	if c.skew != 0.25 || c.cooldown != 20*c.interval {
@@ -74,7 +74,7 @@ func TestDefaults(t *testing.T) {
 func TestBatchClimbIssuesAndApplies(t *testing.T) {
 	tr := metrics.NewTracer(1024)
 	e, src, sid, got := buildPipeline(t, runtime.Options{BatchSize: 8, Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{MaxBatch: 64})
+	c := New(e, &Options{MaxBatch: 64})
 	e.Start()
 
 	ts := tuple.Time(1)
@@ -124,7 +124,7 @@ func TestBatchClimbIssuesAndApplies(t *testing.T) {
 
 func TestBatchClampAndIdleReset(t *testing.T) {
 	e, src, sid, got := buildPipeline(t, runtime.Options{BatchSize: 8})
-	c := New(e, &runtime.AdaptiveOptions{MinBatch: 4, MaxBatch: 16})
+	c := New(e, &Options{MinBatch: 4, MaxBatch: 16})
 	e.Start()
 
 	ts := tuple.Time(1)
@@ -175,7 +175,7 @@ func TestLatencyGuardShrinks(t *testing.T) {
 	}
 	tr := metrics.NewTracer(64)
 	e, src, _, got := buildPipeline(t, runtime.Options{BatchSize: 8, Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{
+	c := New(e, &Options{
 		TargetP95: time.Millisecond,
 		Latency:   lat,
 	})
@@ -258,7 +258,7 @@ func hotKeys(shards, n int) []int64 {
 func TestShardRebalanceAtBarrier(t *testing.T) {
 	tr := metrics.NewTracer(256)
 	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{NoBatchTune: true, NoJoinReorder: true})
+	c := New(e, &Options{NoBatchTune: true, NoJoinReorder: true})
 
 	s := ops.NewSplit("sp", nil, 2, 0)
 	d := newSplitDriver(s)
@@ -336,7 +336,7 @@ func TestShardRebalanceAtBarrier(t *testing.T) {
 func TestProbeReorderCheapestFirst(t *testing.T) {
 	tr := metrics.NewTracer(64)
 	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &runtime.AdaptiveOptions{NoBatchTune: true, NoRebalance: true})
+	c := New(e, &Options{NoBatchTune: true, NoRebalance: true})
 
 	j := ops.NewMultiEquiJoin("mj", nil, window.TimeWindow(100000), 0, 0, 0)
 	jt := &joinTuner{id: -1, name: "mj", j: j} // id -1: decision only, no live node
@@ -396,7 +396,7 @@ func TestProbeReorderCheapestFirst(t *testing.T) {
 
 func TestProbeReorderNeedsSamples(t *testing.T) {
 	e, _, _, _ := buildPipeline(t, runtime.Options{})
-	c := New(e, &runtime.AdaptiveOptions{})
+	c := New(e, &Options{})
 	j := ops.NewMultiEquiJoin("mj", nil, window.TimeWindow(1000), 0, 0, 0)
 	jt := &joinTuner{id: -1, name: "mj", j: j}
 	c.tuneProbes(jt)
@@ -417,7 +417,7 @@ func TestPackOrder(t *testing.T) {
 
 func TestStartStopLoop(t *testing.T) {
 	e, src, _, got := buildPipeline(t, runtime.Options{BatchSize: 8})
-	c := New(e, &runtime.AdaptiveOptions{Interval: time.Millisecond, MaxBatch: 64})
+	c := New(e, &Options{Interval: time.Millisecond, MaxBatch: 64})
 	e.Start()
 	c.Start()
 	c.Start() // idempotent

@@ -92,24 +92,22 @@ func TestAdaptiveSmoke(t *testing.T) {
 	}), j)
 
 	e, err := runtime.New(g, runtime.Options{
-		Shards:  smokeShards,
-		Recycle: true,
-		Trace:   metrics.NewTracer(8192),
-		Adaptive: &runtime.AdaptiveOptions{
-			Interval: 2 * time.Millisecond,
-			Latency:  lat,
-			// The driver punctuates every smokePunctEvery seqs, so half a
-			// round is the tightest barrier lead a punctuation is still
-			// guaranteed to cross promptly. The default (one tick's
-			// event-time advance) would balloon during fast drain bursts
-			// and push every swap thousands of seqs into the future.
-			BarrierLead: smokePunctEvery / 2,
-		},
+		Shards: smokeShards,
+		Trace:  metrics.NewTracer(8192),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := Attach(e)
+	ctl := New(e, &Options{
+		Interval: 2 * time.Millisecond,
+		Latency:  lat,
+		// The driver punctuates every smokePunctEvery seqs, so half a
+		// round is the tightest barrier lead a punctuation is still
+		// guaranteed to cross promptly. The default (one tick's
+		// event-time advance) would balloon during fast drain bursts
+		// and push every swap thousands of seqs into the future.
+		BarrierLead: smokePunctEvery / 2,
+	})
 	e.Start()
 	ctl.Start()
 

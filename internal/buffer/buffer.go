@@ -210,8 +210,7 @@ func (q *Queue) pushFront(t *tuple.Tuple) {
 // promise (the promise bounds future timestamps, it does not guarantee
 // delivery), but dropping a bound would re-stall downstream IWP operators.
 // Retained punctuation keeps its position relative to the surviving tuples.
-// release, when non-nil, receives each shed tuple for recycling.
-func (q *Queue) ShedOldest(k int, release func(*tuple.Tuple)) int {
+func (q *Queue) ShedOldest(k int) int {
 	if k <= 0 || q.nData == 0 {
 		return 0
 	}
@@ -228,9 +227,6 @@ func (q *Queue) ShedOldest(k int, release func(*tuple.Tuple)) int {
 			continue
 		}
 		shed++
-		if release != nil {
-			release(t)
-		}
 	}
 	for i := len(keep) - 1; i >= 0; i-- {
 		q.pushFront(keep[i])

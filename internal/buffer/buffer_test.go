@@ -444,12 +444,8 @@ func TestQueueShedOldest(t *testing.T) {
 	for _, ts := range []tuple.Time{10, 11} {
 		q.Push(tuple.NewData(ts))
 	}
-	var released []*tuple.Tuple
-	if got := q.ShedOldest(3, func(tp *tuple.Tuple) { released = append(released, tp) }); got != 3 {
+	if got := q.ShedOldest(3); got != 3 {
 		t.Fatalf("shed %d, want 3", got)
-	}
-	if len(released) != 3 {
-		t.Fatalf("release hook saw %d tuples", len(released))
 	}
 	// Punctuation survives at the front, ahead of the remaining data tuple.
 	if q.Len() != 2 || q.DataLen() != 1 {
@@ -463,10 +459,10 @@ func TestQueueShedOldest(t *testing.T) {
 	}
 	// Shedding more than the data on hand stops at zero.
 	q.Push(tuple.NewData(20))
-	if got := q.ShedOldest(10, nil); got != 1 {
+	if got := q.ShedOldest(10); got != 1 {
 		t.Errorf("over-shed removed %d, want 1", got)
 	}
-	if got := q.ShedOldest(1, nil); got != 0 {
+	if got := q.ShedOldest(1); got != 0 {
 		t.Errorf("shedding an empty queue removed %d", got)
 	}
 }
@@ -481,7 +477,7 @@ func TestQueueShedOldestGroupAccounting(t *testing.T) {
 	if g.Total() != 7 {
 		t.Fatalf("group total = %d", g.Total())
 	}
-	q.ShedOldest(4, nil)
+	q.ShedOldest(4)
 	if g.Total() != 3 {
 		t.Errorf("group total after shed = %d, want 3", g.Total())
 	}

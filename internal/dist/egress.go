@@ -112,7 +112,6 @@ func (e *Egress) Exec(ctx *ops.Ctx) bool {
 		e.mu.Lock()
 		e.dropped++
 		e.mu.Unlock()
-		releaseTuple(ctx, t)
 		return false
 	}
 	switch {
@@ -127,7 +126,6 @@ func (e *Egress) Exec(ctx *ops.Ctx) bool {
 		e.mu.Lock()
 		e.closed = true
 		e.mu.Unlock()
-		releaseTuple(ctx, t)
 	case t.IsPunct():
 		// Checkpoint barriers are node-local: the egress aligns the local
 		// snapshot cut (acting as this fragment's sink for the barrier) and
@@ -140,14 +138,11 @@ func (e *Egress) Exec(ctx *ops.Ctx) bool {
 		e.mu.Lock()
 		e.puncts++
 		e.mu.Unlock()
-		releaseTuple(ctx, t)
 	default:
 		// The sender takes ownership and recycles after the wire flush, but
-		// this operator cannot prove it owns t exclusively — on a fan-out
-		// graph the same pointer rides sibling arcs (possibly into another
-		// egress). Ship a pooled copy; the original goes back through the
-		// engine's release hook, which is only armed when ownership is
-		// provable.
+		// this operator does not own t exclusively — on a fan-out graph the
+		// same pointer rides sibling arcs (possibly into another egress).
+		// Ship a pooled copy; the original is the collector's.
 		cp := tuple.GetData(t.Ts, len(t.Vals))
 		copy(cp.Vals, t.Vals)
 		cp.Seq = t.Seq
@@ -155,16 +150,8 @@ func (e *Egress) Exec(ctx *ops.Ctx) bool {
 		e.mu.Lock()
 		e.sent++
 		e.mu.Unlock()
-		releaseTuple(ctx, t)
 	}
 	return false
-}
-
-// releaseTuple recycles a consumed tuple when the engine granted ownership.
-func releaseTuple(ctx *ops.Ctx, t *tuple.Tuple) {
-	if ctx.Release != nil && t != nil {
-		ctx.Release(t)
-	}
 }
 
 // reportBarrier notifies the engine of a fully applied checkpoint barrier.

@@ -45,7 +45,7 @@ func RunRuntime(fastRate, slowRate float64, dur time.Duration, onDemand bool, se
 		mu.Unlock()
 	}), u)
 
-	e, err := runtime.New(g, runtime.Options{OnDemandETS: onDemand, ChannelDepth: 4096})
+	e, err := runtime.New(g, runtime.Options{OnDemandETS: onDemand})
 	if err != nil {
 		panic(err)
 	}

@@ -58,14 +58,6 @@ type Config struct {
 	// timestamp, uniformly in ±SkewMax.
 	SkewProb float64
 	SkewMax  tuple.Time
-
-	// CrashAfter, when > 0, schedules a whole-process crash point: CrashDue
-	// reports true once that much wall time has passed since New (or the
-	// last Arm). Drivers poll it and perform the kill — tearing the engine
-	// down without drain and restarting from the latest checkpoint — so the
-	// recovery path (restore + sequenced replay) is exercised on a schedule
-	// as reproducible as the wall clock allows.
-	CrashAfter time.Duration
 }
 
 // Panic is the value MaybePanic throws, so supervisors (and tests) can
@@ -176,17 +168,6 @@ func (in *Injector) DropTuple(node string) bool {
 	return hit
 }
 
-// CrashDue reports whether the scheduled crash point has been reached. The
-// first caller to observe it owns the kill; CrashDue keeps reporting true
-// afterwards (the schedule has one crash — drivers restart their clock with
-// Arm after recovery if they want another).
-func (in *Injector) CrashDue() bool {
-	if in == nil || in.cfg.CrashAfter <= 0 {
-		return false
-	}
-	return time.Since(in.start) >= in.cfg.CrashAfter
-}
-
 // SourceStalled reports whether the named source's stall window is open.
 func (in *Injector) SourceStalled(name string) bool {
 	if in == nil || in.cfg.StallFor <= 0 || in.cfg.StallSource != name {
@@ -237,7 +218,6 @@ func (in *Injector) Stats() Stats {
 //	drop=[n1+n2:]P             per-tuple drop probability at sources
 //	stall=NAME:AFTER:FOR       silence source NAME for FOR, starting at AFTER
 //	skew=P:MAX                 perturb timestamps by ±MAX with probability P
-//	crash=AFTER                kill-and-restore the engine once, AFTER into the run
 //
 // e.g. "seed=7,panic=u+k:0.001,drop=0.01,stall=s2:1s:500ms,skew=0.05:3ms".
 func ParseSpec(spec string) (Config, error) {
@@ -298,12 +278,6 @@ func ParseSpec(spec string) (Config, error) {
 				return cfg, fmt.Errorf("fault: stall for: %w", err)
 			}
 			cfg.StallSource, cfg.StallAfter, cfg.StallFor = parts[0], after, dur
-		case "crash":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return cfg, fmt.Errorf("fault: crash: %w", err)
-			}
-			cfg.CrashAfter = d
 		case "skew":
 			p, m, ok := strings.Cut(v, ":")
 			if !ok {

@@ -142,34 +142,3 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("empty spec: %+v, %v", cfg, err)
 	}
 }
-
-func TestCrashSchedule(t *testing.T) {
-	if New(Config{}).CrashDue() {
-		t.Error("crash due with no schedule")
-	}
-	in := New(Config{CrashAfter: time.Hour})
-	if in.CrashDue() {
-		t.Error("crash due before its time")
-	}
-	in = New(Config{CrashAfter: time.Nanosecond})
-	time.Sleep(time.Millisecond)
-	if !in.CrashDue() {
-		t.Error("crash never came due")
-	}
-	if !in.CrashDue() {
-		t.Error("crash due must latch")
-	}
-	in.Arm()
-	// Arm restarts the clock; an elapsed nanosecond makes it due again.
-	time.Sleep(time.Millisecond)
-	if !in.CrashDue() {
-		t.Error("crash not due after re-arm")
-	}
-	cfg, err := ParseSpec("crash=250ms")
-	if err != nil || cfg.CrashAfter != 250*time.Millisecond {
-		t.Errorf("crash spec: %+v, %v", cfg, err)
-	}
-	if _, err := ParseSpec("crash=soon"); err == nil {
-		t.Error("bad crash duration accepted")
-	}
-}

@@ -224,7 +224,6 @@ func (a *Aggregate) Exec(ctx *Ctx) bool {
 		}
 		a.accumulate(w, t)
 	}
-	ctx.free(t) // values were copied into the accumulators
 	return yield
 }
 

@@ -146,7 +146,6 @@ func handleBarrier(a *aligner, host barrierHost, ctx *Ctx, input int, t *tuple.T
 	}
 	a.mark(input)
 	id := a.id
-	ctx.free(t)
 	if !a.complete() {
 		return true, yield
 	}
@@ -179,9 +178,7 @@ func replayStash(a *aligner, host barrierHost, ctx *Ctx) bool {
 				// Defensive: a duplicate barrier rode into the stash.
 				// Replay it as a plain bound; copy rather than mutate,
 				// because the original may be shared across arcs.
-				c := tuple.GetPunct(s.t.Ts)
-				ctx.free(s.t)
-				s.t = c
+				s.t = tuple.GetPunct(s.t.Ts)
 			}
 			host.replayPunct(ctx, s.input, s.t)
 		} else {

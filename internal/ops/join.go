@@ -245,7 +245,6 @@ func (j *WindowJoin) execBasic(ctx *Ctx) bool {
 	}
 	t := ctx.Ins[side].Pop()
 	if t.IsPunct() {
-		ctx.free(t)
 		return false
 	}
 	return j.produce(ctx, side, t)
@@ -296,18 +295,15 @@ func (j *WindowJoin) punctStep(ctx *Ctx, side int, t *tuple.Tuple) bool {
 	if bound > j.watermark && bound != tuple.MaxTime {
 		j.watermark = bound
 		j.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.GetPunct(bound))
 		return true
 	}
 	if t.IsEOS() && j.regs.Get(0) == tuple.MaxTime && j.regs.Get(1) == tuple.MaxTime {
 		j.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.EOS())
 		return true
 	}
-	ctx.free(t) // absorbed: the bound did not advance
-	return false
+	return false // absorbed: the bound did not advance
 }
 
 // barrierHost hooks (see barrier.go).
@@ -344,7 +340,6 @@ func (j *WindowJoin) execLatent(ctx *Ctx) bool {
 	}
 	t := ctx.Ins[side].Pop()
 	if t.IsPunct() {
-		ctx.free(t)
 		return false
 	}
 	// Latent tuples are stamped on the fly by operators that need
@@ -380,9 +375,9 @@ func (j *WindowJoin) produce(ctx *Ctx, side int, t *tuple.Tuple) bool {
 		if o.Ts > ts {
 			ts = o.Ts
 		}
-		// Output tuples come from the node-local magazine: a hash join's
-		// probe loop is one of the engine's hottest allocation sites. It
-		// hands out what downstream recycled, else carves from a slab.
+		// Output tuples are carved from the node-local magazine's slabs: a
+		// hash join's probe loop is one of the engine's hottest allocation
+		// sites.
 		out := j.mag.GetData(ts, len(l.Vals)+len(r.Vals))
 		copy(out.Vals, l.Vals)
 		copy(out.Vals[len(l.Vals):], r.Vals)

@@ -250,18 +250,15 @@ func (j *MultiJoin) punctStep(ctx *Ctx, input int, t *tuple.Tuple) bool {
 	if bound > j.watermark && bound != tuple.MaxTime {
 		j.watermark = bound
 		j.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.GetPunct(bound))
 		return true
 	}
 	if t.IsEOS() && j.allEOS() {
 		j.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.EOS())
 		return true
 	}
-	ctx.free(t) // absorbed: the bound did not advance
-	return false
+	return false // absorbed: the bound did not advance
 }
 
 // barrierHost hooks (see barrier.go).

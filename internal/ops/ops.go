@@ -38,12 +38,6 @@ type Ctx struct {
 	EmitTo func(i int, t *tuple.Tuple)
 	// Now returns the current virtual time.
 	Now func() tuple.Time
-	// Release, when non-nil, recycles a tuple the operator consumed
-	// without forwarding (an absorbed punctuation, a filtered-out data
-	// tuple, a sink-delivered result). The engine sets it only when it can
-	// prove exclusive ownership — e.g. the concurrent runtime enables it
-	// for fan-out-free graphs with Options.Recycle.
-	Release func(*tuple.Tuple)
 	// OnBarrier, when non-nil, is invoked by the operator the moment a
 	// checkpoint barrier (a punctuation with Ckpt != 0) has fully applied
 	// to it — after every input's barrier is aligned and before any
@@ -52,13 +46,6 @@ type Ctx struct {
 	// locking is needed); bound is the merged barrier timestamp the
 	// operator conveys downstream.
 	OnBarrier func(id uint64, bound tuple.Time)
-}
-
-// free recycles t through the engine's release hook, when one is installed.
-func (c *Ctx) free(t *tuple.Tuple) {
-	if c.Release != nil && t != nil {
-		c.Release(t)
-	}
 }
 
 // barrier reports a fully applied checkpoint barrier to the engine.

@@ -94,7 +94,6 @@ func (r *Reorder) Exec(ctx *Ctx) bool {
 		// (Equal timestamps are fine — simultaneous tuples.)
 		if t.Ts < r.released {
 			r.dropped++
-			ctx.free(t)
 			return yield
 		}
 	}

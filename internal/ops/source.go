@@ -284,13 +284,11 @@ func (s *Sink) Exec(ctx *Ctx) bool {
 		if t.Ckpt != 0 {
 			ctx.barrier(t.Ckpt, t.Ts)
 		}
-		ctx.free(t)
 		return false
 	}
 	s.received++
 	if s.onTuple != nil {
 		s.onTuple(t, ctx.Now())
 	}
-	ctx.free(t) // delivered; with Release installed, callbacks must not retain t
 	return false
 }

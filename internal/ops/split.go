@@ -34,8 +34,8 @@ type splitRetarget struct {
 // shards so each shard's TSM registers keep advancing.
 //
 // Punctuation is broadcast as fresh copies (one GetPunct per arc), never as a
-// shared pointer: every tuple leaving the splitter has exactly one owner, so
-// the runtime's recycling stays sound even though the node fans out.
+// shared pointer: the runtime stamps trace context into a punctuation as it
+// emits it, and the shards receiving it run on different goroutines.
 //
 // The bucket table is re-assignable at runtime (Retarget): the adaptive
 // controller moves hot buckets between shards at a punctuation barrier.
@@ -224,7 +224,6 @@ func (s *Split) Exec(ctx *Ctx) bool {
 		if t.Ckpt != 0 {
 			ctx.barrier(t.Ckpt, t.Ts)
 		}
-		ctx.free(t)
 		return true
 	}
 	var k int

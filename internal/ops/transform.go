@@ -77,7 +77,6 @@ func NewSelect(name string, schema *tuple.Schema, pred Predicate) *Select {
 			ctx.Emit(t)
 			return true
 		}
-		ctx.free(t) // filtered out
 		return false
 	}
 	return s
@@ -114,7 +113,6 @@ func NewProject(name string, schema *tuple.Schema, idx []int) *Project {
 			vals[i] = t.Vals[j]
 		}
 		out := &tuple.Tuple{Ts: t.Ts, Kind: tuple.Data, Vals: vals, Arrived: t.Arrived, Seq: t.Seq}
-		ctx.free(t) // values were copied into out
 		ctx.Emit(out)
 		return true
 	}

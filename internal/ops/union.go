@@ -135,7 +135,6 @@ func (u *Union) execBasic(ctx *Ctx) bool {
 	}
 	t := ctx.Ins[arg].Pop()
 	if t.IsPunct() {
-		ctx.free(t)
 		return false
 	}
 	u.dataOut++
@@ -188,18 +187,15 @@ func (u *Union) punctStep(ctx *Ctx, t *tuple.Tuple) bool {
 	if bound > u.watermark && bound != tuple.MaxTime {
 		u.watermark = bound
 		u.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.GetPunct(bound))
 		return true
 	}
 	if t.IsEOS() && u.allEOS(ctx) {
 		u.punctOut++
-		ctx.free(t)
 		ctx.Emit(tuple.EOS())
 		return true
 	}
-	ctx.free(t) // absorbed: the bound did not advance
-	return false
+	return false // absorbed: the bound did not advance
 }
 
 // barrierHost hooks (see barrier.go).
@@ -251,7 +247,6 @@ func (u *Union) execLatent(ctx *Ctx) bool {
 		u.rr = (i + 1) % n
 		t := ctx.Ins[i].Pop()
 		if t.IsPunct() {
-			ctx.free(t)
 			return false // latent streams need no punctuation
 		}
 		u.dataOut++

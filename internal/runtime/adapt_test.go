@@ -69,8 +69,7 @@ func TestReconfigureAppliesAtNextBoundary(t *testing.T) {
 	applied := make(chan struct{})
 	var hookRan atomic.Bool
 	if !e.Reconfigure(pid, Reconfig{
-		BatchSize:     3,
-		MaxBatchDelay: 123 * time.Microsecond,
+		BatchSize: 3,
 		Apply: func(op ops.Operator) {
 			hookRan.Store(true)
 			close(applied)
@@ -106,9 +105,6 @@ func TestReconfigureAppliesAtNextBoundary(t *testing.T) {
 	}
 	if got := e.NodeBatchSize(pid); got != 3 {
 		t.Errorf("NodeBatchSize = %d, want 3", got)
-	}
-	if got := e.NodeMaxBatchDelay(pid); got != 123*time.Microsecond {
-		t.Errorf("NodeMaxBatchDelay = %v, want 123µs", got)
 	}
 	if tr.Count(metrics.EvRetuneApplied) == 0 {
 		t.Error("no EvRetuneApplied trace event")

@@ -69,16 +69,16 @@ func TestChaosSoak(t *testing.T) {
 	e, err := New(g, Options{
 		// On-demand ETS stays off so the liveness watchdog — not the
 		// demand path — is what unblocks idle-waiters during the stall.
-		OnDemandETS:    false,
-		BatchSize:      32,
-		MaxRestarts:    1 << 20,
-		RestartBackoff: 100 * time.Microsecond,
-		SourceTimeout:  50 * time.Millisecond,
-		Fault:          inj,
+		OnDemandETS:   false,
+		BatchSize:     32,
+		MaxRestarts:   1 << 20,
+		SourceTimeout: 50 * time.Millisecond,
+		Fault:         inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.backoff = 100 * time.Microsecond
 	e.Start()
 	inj.Arm() // stall clock starts with the workload
 	start := time.Now()

@@ -32,16 +32,19 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // goroutine stack.
 func TestRuntimePanicRestartPreservesOrder(t *testing.T) {
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
-	inj := fault.New(fault.Config{PanicEvery: 7, PanicNodes: []string{"u"}})
+	// Every second probe: a node that did any work loops back to the probe at
+	// least once more, so the union panics however few iterations a starved
+	// scheduler lets it drain its input in.
+	inj := fault.New(fault.Config{PanicEvery: 2, PanicNodes: []string{"u"}})
 	e, err := New(g, Options{
-		OnDemandETS:    true,
-		MaxRestarts:    1 << 20,
-		RestartBackoff: 10 * time.Microsecond,
-		Fault:          inj,
+		OnDemandETS: true,
+		MaxRestarts: 1 << 20,
+		Fault:       inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.backoff = 10 * time.Microsecond
 	e.Start()
 	const n = 2000
 	var wg sync.WaitGroup

@@ -12,7 +12,6 @@ package runtime
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -138,10 +137,9 @@ func (e *Engine) instrument() {
 		o.blockedOn.Set(-1)
 		n.obs = o
 		reg.GaugeFunc("sm_node_chan_backlog"+lbl, func() int64 { return int64(len(n.in)) })
-		// Live tuned values: /vars shows what the adaptive controller has
+		// Live tuned value: /vars shows what the adaptive controller has
 		// actually applied, per node.
 		reg.GaugeFunc("sm_node_batch_size"+lbl, func() int64 { return n.batchSize.Load() })
-		reg.GaugeFunc("sm_node_max_delay_us"+lbl, func() int64 { return n.maxDelayNs.Load() / 1e3 })
 		reg.GaugeFunc("sm_node_idle"+lbl, func() int64 {
 			if o.idleSince.Load() >= 0 {
 				return 1
@@ -452,11 +450,10 @@ type NodeSnapshot struct {
 	// received on their own input arc; TuplesShed data tuples dropped by
 	// the overload shedder.
 	LateTuples, TuplesShed uint64
-	// BatchSize/MaxBatchDelay are the node's live data-plane tunables;
-	// Retunes counts reconfigurations applied at punctuation boundaries.
-	BatchSize     int
-	MaxBatchDelay time.Duration
-	Retunes       uint64
+	// BatchSize is the node's live per-arc batch capacity; Retunes counts
+	// reconfigurations applied at punctuation boundaries.
+	BatchSize int
+	Retunes   uint64
 	// Arcs is the per-input watermark-lag attribution; BlockingInput the
 	// input the open idle spell is charged to (-1 when not idle-waiting).
 	Arcs          []ArcSnapshot
@@ -541,7 +538,6 @@ func (e *Engine) Snapshot() Snapshot {
 			Dead:        n.dead.Load(),
 
 			BatchSize:     int(n.batchSize.Load()),
-			MaxBatchDelay: time.Duration(n.maxDelayNs.Load()),
 			Retunes:       o.retunes.Load(),
 			BlockingInput: int(o.blockedOn.Load()),
 		}

@@ -15,10 +15,10 @@
 // Arcs carry batches ([]*tuple.Tuple) rather than single tuples, amortizing
 // the channel synchronization that otherwise dominates the hot path. A node
 // accumulates up to Options.BatchSize output tuples per arc before sending;
-// batch slices are recycled through a sync.Pool so the steady state is
-// allocation-free. Batching must not reintroduce the latency the paper's
-// on-demand ETS design eliminates, so four flush triggers bound how long a
-// tuple can sit in a pending batch:
+// batch slices are reused through a sync.Pool, so moving a batch allocates
+// nothing in the steady state. Batching must not reintroduce the latency the
+// paper's on-demand ETS design eliminates, so four flush triggers bound how
+// long a tuple can sit in a pending batch:
 //
 //   - punctuation: a batch is flushed the moment an ETS (or EOS) is emitted
 //     into it — a bound that waits is a bound that lies, and the Figure-7
@@ -28,9 +28,8 @@
 //     already be here;
 //   - idle: a node flushes everything pending before it blocks, so batches
 //     never outlive their producer's attention;
-//   - delay: while a node stays busy, batches older than
-//     Options.MaxBatchDelay are flushed so continuous low-yield operators
-//     still bound latency.
+//   - delay: while a node stays busy, batches older than maxBatchDelay are
+//     flushed so continuous low-yield operators still bound latency.
 package runtime
 
 import (
@@ -53,39 +52,29 @@ import (
 // is zero.
 const DefaultBatchSize = 64
 
-// DefaultMaxBatchDelay bounds how long a busy node may hold a partial batch
-// when Options.MaxBatchDelay is zero.
-const DefaultMaxBatchDelay = 500 * time.Microsecond
+// maxBatchDelay bounds how long a continuously-busy node may hold a partial
+// batch. Idle nodes always flush before blocking, so the bound only matters
+// under sustained load.
+const maxBatchDelay = 500 * time.Microsecond
+
+// channelDepth is each node's inbox capacity in batches: what a consumer a
+// scheduling quantum behind can absorb before upstream sends block.
+const channelDepth = 256
 
 // Options configures a runtime engine.
 type Options struct {
 	// OnDemandETS enables demand-driven ETS generation at sources.
 	OnDemandETS bool
-	// ChannelDepth sets per-arc channel capacity in batches (default 256).
-	ChannelDepth int
 	// BatchSize caps the tuples accumulated per output arc before the
 	// batch is sent downstream (default DefaultBatchSize). 1 restores
 	// per-tuple sends — the unbatched baseline.
 	BatchSize int
-	// MaxBatchDelay bounds how long a continuously-busy node may hold a
-	// partial batch (default DefaultMaxBatchDelay). Idle nodes always
-	// flush before blocking, so the bound only matters under sustained
-	// load.
-	MaxBatchDelay time.Duration
-	// Recycle returns sink-consumed tuples and absorbed punctuation to the
-	// tuple pool (tuple.Put). It requires that sink callbacks do not
-	// retain tuples beyond the call; it is ignored (stays off) when the
-	// graph has fan-out, where a tuple pointer is shared across arcs and
-	// single ownership cannot be proven. Splitters are exempt: they route
-	// each data tuple to exactly one arc and broadcast punctuation as
-	// fresh copies, so their fan-out preserves single ownership.
-	Recycle bool
 	// Shards, when ≥ 2, applies the partition rewrite before the graph is
 	// built: every partitionable operator (ops.Partitionable — hash/equi
 	// joins, grouped aggregates, TSM unions) is replicated into Shards
 	// hash-partitioned replicas behind a splitter per input and a
 	// min-watermark merge, each replica running on its own goroutine with
-	// its own state slice, pending batches, and recycle magazine.
+	// its own state slice and pending batches.
 	Shards int
 	// Now supplies the clock; defaults to wall time in µs since engine
 	// start.
@@ -115,10 +104,6 @@ type Options struct {
 	// (Engine.Err / an errored Wait). 0 means DefaultMaxRestarts; a
 	// negative value disables restarts — the first panic fails the engine.
 	MaxRestarts int
-	// RestartBackoff is the base supervisor backoff, doubled per
-	// consecutive restart of the same node (capped at 256× the base).
-	// 0 means DefaultRestartBackoff.
-	RestartBackoff time.Duration
 	// SourceTimeout, when > 0, arms the source-liveness watchdog: a
 	// source silent for this long while some operator idle-waits gets a
 	// skew-bounded ETS forced into it (at most one per timeout window),
@@ -143,55 +128,7 @@ type Options struct {
 	// (panic-at-node at the top of each scheduling iteration, tuple-drop
 	// at source ingest). nil costs one pointer check per iteration.
 	Fault *fault.Injector
-	// Adaptive, when non-nil, carries the knobs an adaptive controller
-	// (internal/adapt) reads when attached to this engine. The engine
-	// itself only stores it — setting Adaptive without attaching a
-	// controller changes nothing.
-	Adaptive *AdaptiveOptions
 }
-
-// AdaptiveOptions tunes the adaptive controller (internal/adapt). The zero
-// value enables every actuator with the defaults below; the No* fields
-// disable individual actuators.
-type AdaptiveOptions struct {
-	// Interval is the controller tick (observe→decide cadence). Default
-	// DefaultAdaptInterval.
-	Interval time.Duration
-	// NoBatchTune disables per-node batch-size hill climbing.
-	NoBatchTune bool
-	// NoRebalance disables splitter bucket re-assignment.
-	NoRebalance bool
-	// NoJoinReorder disables multiway-join probe reordering.
-	NoJoinReorder bool
-	// MinBatch/MaxBatch bound the batch-size hill climb (defaults 1 and
-	// DefaultAdaptMaxBatch).
-	MinBatch, MaxBatch int
-	// TargetP95 is the latency guard: while the observed p95 (from the
-	// Latency reservoir) exceeds it, the tuner shrinks batches instead of
-	// growing them. 0 disables the guard.
-	TargetP95 time.Duration
-	// Latency, when non-nil, is the sink-observed latency reservoir the
-	// guard reads — typically the embedder's existing end-to-end latency
-	// instrument.
-	Latency *metrics.Reservoir
-	// SkewThreshold is the partition.Skew level above which a rebalance is
-	// considered (default 0.25).
-	SkewThreshold float64
-	// RebalanceMinInterval is the cool-down between rebalances of the same
-	// operator (default 20× Interval).
-	RebalanceMinInterval time.Duration
-	// BarrierLead is added to the splitters' max observed event timestamp
-	// when picking a retarget barrier, so the fence sits in the near
-	// future of event time (default: one tick's worth of observed
-	// watermark advance, minimum 1).
-	BarrierLead tuple.Time
-}
-
-// DefaultAdaptInterval is the controller tick when Interval is zero.
-const DefaultAdaptInterval = 10 * time.Millisecond
-
-// DefaultAdaptMaxBatch caps batch-size hill climbing when MaxBatch is zero.
-const DefaultAdaptMaxBatch = 1024
 
 // Reconfig is one punctuation-aligned reconfiguration action. The controller
 // publishes it with Engine.Reconfigure; the node's own goroutine applies it
@@ -201,8 +138,6 @@ const DefaultAdaptMaxBatch = 1024
 type Reconfig struct {
 	// BatchSize, when > 0, becomes the node's per-arc batch capacity.
 	BatchSize int
-	// MaxBatchDelay, when > 0, becomes the node's stale-batch flush bound.
-	MaxBatchDelay time.Duration
 	// Apply, when non-nil, runs on the node's goroutine at the boundary
 	// with the node's operator — the hook probe-order swaps ride on.
 	Apply func(op ops.Operator)
@@ -212,9 +147,9 @@ type Reconfig struct {
 // is zero.
 const DefaultMaxRestarts = 8
 
-// DefaultRestartBackoff is the base supervisor backoff when
-// Options.RestartBackoff is zero.
-const DefaultRestartBackoff = time.Millisecond
+// restartBackoff is the base supervisor backoff, doubled per consecutive
+// restart of the same node (capped at 256× the base).
+const restartBackoff = time.Millisecond
 
 // Engine runs one query graph concurrently.
 type Engine struct {
@@ -224,9 +159,8 @@ type Engine struct {
 	plan *partition.Plan
 
 	batchSize int
-	maxDelay  time.Duration
+	maxDelay  time.Duration // maxBatchDelay; a field so package tests can change it before Start
 	pool      *tuple.BatchPool
-	recycle   bool
 
 	nodes    []*node
 	srcNode  map[*ops.Source]*node
@@ -239,7 +173,7 @@ type Engine struct {
 
 	// Supervision / fault tolerance.
 	maxRestarts int
-	backoff     time.Duration
+	backoff     time.Duration // restartBackoff; a field for the same reason as maxDelay
 	maxQueue    int
 	shed        bool
 	fault       *fault.Injector
@@ -301,12 +235,11 @@ type node struct {
 	pendCount int
 	pendSince time.Time // when pendCount last left zero
 
-	// Per-node data-plane tunables, initialized from the engine-wide
-	// options and re-written only through the reconfiguration protocol.
-	// Atomics because scrapers (gauges, the controller) read them while
-	// the owning goroutine applies updates.
-	batchSize  atomic.Int64
-	maxDelayNs atomic.Int64
+	// batchSize is the node's per-arc batch capacity, initialized from the
+	// engine-wide option and re-written only through the reconfiguration
+	// protocol. Atomic because scrapers (gauges, the controller) read it
+	// while the owning goroutine applies updates.
+	batchSize atomic.Int64
 
 	// reconf is the pending reconfiguration (last writer wins; the
 	// controller coalesces). The node goroutine consumes it only at a
@@ -327,11 +260,6 @@ type node struct {
 	// tuple is bounded and the node is quiescent. Both goroutine-owned.
 	punctBoundary bool
 	sincePunct    int
-
-	// mag is the node's tuple magazine: recycling (ctx.Release) pushes into
-	// it. Owned by the node goroutine (one at a time, supervised restarts
-	// included).
-	mag tuple.Magazine
 
 	// srcDone records that a source node has ingested EOS; goroutine-owned
 	// (it lives on the node, not the goroutine stack, so a supervised
@@ -359,11 +287,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	depth := opts.ChannelDepth
-	if depth <= 0 {
-		depth = 256
+	e := &Engine{
+		g: g, opts: opts, plan: plan, stop: make(chan struct{}),
+		maxDelay: maxBatchDelay, backoff: restartBackoff,
 	}
-	e := &Engine{g: g, opts: opts, plan: plan, stop: make(chan struct{})}
 	e.reg = opts.Metrics
 	if e.reg == nil {
 		e.reg = metrics.NewRegistry()
@@ -377,20 +304,12 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	} else if e.maxRestarts < 0 {
 		e.maxRestarts = 0 // no restarts: the first panic fails the engine
 	}
-	e.backoff = opts.RestartBackoff
-	if e.backoff <= 0 {
-		e.backoff = DefaultRestartBackoff
-	}
 	e.maxQueue = opts.MaxQueueLen
 	e.shed = opts.Shed
 	e.fault = opts.Fault
 	e.batchSize = opts.BatchSize
 	if e.batchSize <= 0 {
 		e.batchSize = DefaultBatchSize
-	}
-	e.maxDelay = opts.MaxBatchDelay
-	if e.maxDelay <= 0 {
-		e.maxDelay = DefaultMaxBatchDelay
 	}
 	e.pool = tuple.NewBatchPool(e.batchSize)
 	if opts.Now != nil {
@@ -399,27 +318,13 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		start := time.Now()
 		e.now = func() tuple.Time { return tuple.FromDuration(time.Since(start)) }
 	}
-	// Tuple recycling is sound only when every tuple pointer lives on at
-	// most one arc at a time: fan-out shares pointers across arcs. A
-	// splitter's fan-out is routing, not broadcast — each data tuple goes
-	// to exactly one shard arc and punctuation is copied per arc — so it
-	// keeps single ownership and recycling stays on.
-	e.recycle = opts.Recycle
-	for _, gn := range g.Nodes() {
-		if _, isSplit := gn.Op.(*ops.Split); isSplit {
-			continue
-		}
-		if len(gn.Out) > 1 {
-			e.recycle = false
-		}
-	}
 	e.nodes = make([]*node, g.Len())
 	e.srcNode = make(map[*ops.Source]*node)
 	for _, gn := range g.Nodes() {
 		n := &node{
 			gn:      gn,
 			name:    gn.Op.Name(),
-			in:      make(chan portBatch, depth),
+			in:      make(chan portBatch, channelDepth),
 			dem:     make(chan struct{}, 1),
 			eosSeen: make([]bool, gn.Op.NumInputs()),
 		}
@@ -430,7 +335,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		}
 		n.lastIn.Store(-1)
 		n.batchSize.Store(int64(e.batchSize))
-		n.maxDelayNs.Store(int64(e.maxDelay))
 		e.nodes[gn.ID] = n
 		if s := gn.Source(); s != nil {
 			n.ctl = make(chan ctlKind, 4)
@@ -709,13 +613,6 @@ func (e *Engine) runNode(n *node) {
 		Now:    e.now,
 	}
 	ctx.OnBarrier = func(id uint64, bound tuple.Time) { e.onBarrier(n, id, bound) }
-	if e.recycle {
-		// Each node goroutine recycles through its own magazine so the
-		// per-tuple release costs a stack push, not a shared-pool access.
-		// The magazine lives on the node (not this stack) so its contents
-		// survive a supervisor restart.
-		ctx.Release = n.mag.Put
-	}
 	if src != nil {
 		// Source nodes pull from their inbox; route the engine's fan-in
 		// channel into it.
@@ -739,12 +636,7 @@ func (e *Engine) runNode(n *node) {
 			}
 			if t.IsPunct() {
 				src.Offer(t)
-			} else if e.fault.DropTuple(n.name) {
-				// Chaos: the tuple is lost before entering the stream.
-				if ctx.Release != nil {
-					ctx.Release(t)
-				}
-			} else {
+			} else if !e.fault.DropTuple(n.name) { // chaos: lost before entering the stream
 				src.Ingest(t, e.now())
 			}
 			return
@@ -753,7 +645,7 @@ func (e *Engine) runNode(n *node) {
 		if t.IsEOS() {
 			n.eosSeen[port] = true
 		}
-		e.shedOverflow(n, ctx)
+		e.shedOverflow(n)
 	}
 	deliver := func(pb portBatch) {
 		if pb.one != nil {
@@ -784,11 +676,7 @@ func (e *Engine) runNode(n *node) {
 						n.srcDone = true
 					}
 					src.Offer(t)
-				} else if e.fault.DropTuple(n.name) {
-					if ctx.Release != nil {
-						ctx.Release(t)
-					}
-				} else {
+				} else if !e.fault.DropTuple(n.name) {
 					src.Ingest(t, now)
 				}
 			}
@@ -812,7 +700,7 @@ func (e *Engine) runNode(n *node) {
 			}
 		}
 		e.pool.Put(pb.many)
-		e.shedOverflow(n, ctx)
+		e.shedOverflow(n)
 	}
 	allEOS := func() bool {
 		if src != nil {
@@ -875,7 +763,7 @@ func (e *Engine) runNode(n *node) {
 			e.exitIdle(n)
 			// Still busy: only stale batches flush (the delay rule);
 			// full batches and punctuation already flushed inside emit.
-			if n.pendCount > 0 && time.Since(n.pendSince) >= time.Duration(n.maxDelayNs.Load()) {
+			if n.pendCount > 0 && time.Since(n.pendSince) >= e.maxDelay {
 				e.flushPending(n)
 			}
 			continue
@@ -964,9 +852,6 @@ func (e *Engine) maybeApplyReconf(n *node, op ops.Operator) {
 	if rc.BatchSize > 0 {
 		n.batchSize.Store(int64(rc.BatchSize))
 	}
-	if rc.MaxBatchDelay > 0 {
-		n.maxDelayNs.Store(int64(rc.MaxBatchDelay))
-	}
 	if rc.Apply != nil {
 		rc.Apply(op)
 	}
@@ -999,14 +884,6 @@ func (e *Engine) NodeBatchSize(id int) int {
 		return 0
 	}
 	return int(e.nodes[id].batchSize.Load())
-}
-
-// NodeMaxBatchDelay reports node id's live stale-batch flush bound.
-func (e *Engine) NodeMaxBatchDelay(id int) time.Duration {
-	if id < 0 || id >= len(e.nodes) {
-		return 0
-	}
-	return time.Duration(e.nodes[id].maxDelayNs.Load())
 }
 
 // NodeOperator returns node id's operator instance (nil for an unknown id).
@@ -1045,9 +922,6 @@ func (e *Engine) NodeFanOut(id int) int {
 
 // Tracer exposes the engine's trace ring (nil when tracing is off).
 func (e *Engine) Tracer() *metrics.Tracer { return e.trace }
-
-// EngineOptions returns the options the engine was built with.
-func (e *Engine) EngineOptions() Options { return e.opts }
 
 // ShardGroup is one partitioned operator's adaptive surface: the splitters
 // feeding its shards (all of which must receive identical retargets to keep

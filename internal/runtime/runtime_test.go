@@ -230,7 +230,7 @@ func TestRuntimeStopTerminates(t *testing.T) {
 func TestRuntimeThroughput(t *testing.T) {
 	// A modest load test: 2×5000 tuples through union with on-demand ETS.
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
-	e, err := New(g, Options{OnDemandETS: true, ChannelDepth: 1024})
+	e, err := New(g, Options{OnDemandETS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,19 +398,19 @@ func TestRuntimeIngestBatch(t *testing.T) {
 // TestRuntimeBatchingPreservesPunctuationLatency is the latency-preservation
 // regression test for the batched data plane: an ETS/punctuation tuple must
 // reach the sink immediately — flushed out of any partial batch — rather
-// than waiting for the batch to fill or for MaxBatchDelay to expire. With
-// BatchSize larger than the whole input and MaxBatchDelay of a minute, any
+// than waiting for the batch to fill or for the stale-batch delay to expire.
+// With BatchSize larger than the whole input and a delay of a minute, any
 // delivery within the deadline proves flush-on-punctuation works.
 func TestRuntimeBatchingPreservesPunctuationLatency(t *testing.T) {
 	g, s1, _, col := buildUnion(t, ops.TSM, tuple.Internal)
 	e, err := New(g, Options{
-		OnDemandETS:   true,
-		BatchSize:     1 << 16, // never fills
-		MaxBatchDelay: time.Minute,
+		OnDemandETS: true,
+		BatchSize:   1 << 16, // never fills
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxDelay = time.Minute
 	e.Start()
 	defer e.Stop()
 
@@ -441,13 +441,13 @@ func TestRuntimeBatchingPreservesPunctuationLatency(t *testing.T) {
 func TestRuntimeBatchedEOSDrains(t *testing.T) {
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
 	e, err := New(g, Options{
-		OnDemandETS:   true,
-		BatchSize:     1 << 16,
-		MaxBatchDelay: time.Minute,
+		OnDemandETS: true,
+		BatchSize:   1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxDelay = time.Minute
 	e.Start()
 	var raws []*tuple.Tuple
 	for i := 0; i < 17; i++ { // deliberately not a multiple of any batch size
@@ -472,12 +472,11 @@ func TestRuntimeBatchedEOSDrains(t *testing.T) {
 // checks the results are identical — batching is a transport optimization,
 // not a semantic change.
 func TestRuntimeBatchSizesAgree(t *testing.T) {
-	run := func(batch int, recycle bool) int {
+	run := func(batch int) int {
 		g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
 		e, err := New(g, Options{
 			OnDemandETS: true,
 			BatchSize:   batch,
-			Recycle:     recycle,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -497,20 +496,17 @@ func TestRuntimeBatchSizesAgree(t *testing.T) {
 		e.Wait()
 		return len(col.snapshot())
 	}
-	want := run(1, false)
+	want := run(1)
 	for _, bs := range []int{2, 64, 4096} {
-		if got := run(bs, false); got != want {
+		if got := run(bs); got != want {
 			t.Errorf("BatchSize=%d delivered %d, BatchSize=1 delivered %d", bs, got, want)
 		}
 	}
-	if got := run(64, true); got != want {
-		t.Errorf("Recycle delivered %d, want %d", got, want)
-	}
 }
 
-// TestRuntimeRecycleIgnoredOnFanOut ensures the engine refuses to install
-// the release hook when a tuple pointer can live on two arcs at once.
-func TestRuntimeRecycleIgnoredOnFanOut(t *testing.T) {
+// TestRuntimeFanOutDeliversOnEveryArc: a node with two out arcs hands every
+// tuple to both consumers.
+func TestRuntimeFanOutDeliversOnEveryArc(t *testing.T) {
 	g := graph.New("fan")
 	sch := intSchema("s", tuple.Internal)
 	src := ops.NewSource("src", sch, 0)
@@ -519,12 +515,9 @@ func TestRuntimeRecycleIgnoredOnFanOut(t *testing.T) {
 	c2 := &collector{}
 	g.AddNode(ops.NewSink("k1", c1.add), n)
 	g.AddNode(ops.NewSink("k2", c2.add), n)
-	e, err := New(g, Options{Recycle: true})
+	e, err := New(g, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.recycle {
-		t.Fatal("recycle must be disabled on fan-out graphs")
 	}
 	e.Start()
 	for i := 0; i < 10; i++ {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,39 +200,5 @@ func TestRuntimeShardedAggregate(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d differs: %s vs %s", i, got[i], want[i])
 		}
-	}
-}
-
-// Recycling must stay enabled through a splitter's fan-out (routing
-// preserves single ownership) and sharded output must stay correct with the
-// pools engaged. The sink only counts — recycled tuples must not be
-// retained.
-func TestRuntimeShardedJoinWithRecycle(t *testing.T) {
-	run := func(shards int) (uint64, uint64) {
-		var rows, tsSum atomic.Uint64
-		g, s1, s2 := buildShardJoin(func(tp *tuple.Tuple, _ tuple.Time) {
-			rows.Add(1)
-			tsSum.Add(uint64(tp.Ts))
-		})
-		e, err := New(g, Options{OnDemandETS: true, Shards: shards, Recycle: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Start()
-		for i := 0; i < 300; i++ {
-			key := tuple.Int(int64(i % 16))
-			e.Ingest(s1, tuple.NewData(tuple.Time(2*i), key, tuple.Int(int64(i))))
-			e.Ingest(s2, tuple.NewData(tuple.Time(2*i+1), key, tuple.Int(int64(i))))
-		}
-		e.CloseStream(s1)
-		e.CloseStream(s2)
-		e.Wait()
-		return rows.Load(), tsSum.Load()
-	}
-	wantRows, wantSum := run(0)
-	gotRows, gotSum := run(4)
-	if wantRows == 0 || gotRows != wantRows || gotSum != wantSum {
-		t.Fatalf("recycled sharded join: %d rows (sum %d), want %d (sum %d)",
-			gotRows, gotSum, wantRows, wantSum)
 	}
 }

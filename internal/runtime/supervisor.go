@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
@@ -254,19 +253,19 @@ func (e *Engine) canDrain(n *node) bool {
 // shedOverflow enforces MaxQueueLen under the shedding policy: each input
 // queue over its bound drops its oldest data tuples (punctuation survives)
 // and the drop is counted per node, per engine, and in the trace.
-func (e *Engine) shedOverflow(n *node, ctx *ops.Ctx) {
+func (e *Engine) shedOverflow(n *node) {
 	if e.maxQueue <= 0 || !e.shed {
 		return
 	}
 	shed := 0
 	if src := n.gn.Source(); src != nil {
 		if over := src.Inbox().DataLen() - e.maxQueue; over > 0 {
-			shed += src.Inbox().ShedOldest(over, ctx.Release)
+			shed += src.Inbox().ShedOldest(over)
 		}
 	} else {
 		for _, q := range n.ins {
 			if over := q.DataLen() - e.maxQueue; over > 0 {
-				shed += q.ShedOldest(over, ctx.Release)
+				shed += q.ShedOldest(over)
 			}
 		}
 	}

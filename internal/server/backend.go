@@ -1,16 +1,14 @@
 package server
 
 import (
-	"fmt"
-
 	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
 // Backend resolves stream names to ingest sinks. The server is deliberately
 // decoupled from the engine: cmd/streamd plugs a runtime engine in through
-// NewEngineBackend, while wrappers.TCPSource (the legacy text wrapper) plugs
-// in a bare callback, and tests plug in recorders.
+// NewEngineBackend, internal/dist plugs in a worker's link backend, and tests
+// plug in recorders.
 type Backend interface {
 	// Open resolves a stream name to its schema and an ingest sink. The
 	// server calls it once per stream (bindings are refcounted server-side)
@@ -28,7 +26,7 @@ type StreamSink interface {
 	// IngestBatch takes ownership of the tuples (not the slice).
 	IngestBatch(ts []*tuple.Tuple)
 	// Source exposes the stream's source operator for skew feedback and
-	// drain-time ETS, or nil when the backend has no source (callback mode).
+	// drain-time ETS, or nil when the backend has no source.
 	Source() *ops.Source
 	// Close ends the stream (EOS downstream).
 	Close()
@@ -71,39 +69,3 @@ func (s *engineSink) Ingest(t *tuple.Tuple)         { s.ing.Ingest(s.src, t) }
 func (s *engineSink) IngestBatch(ts []*tuple.Tuple) { s.ing.IngestBatch(s.src, ts) }
 func (s *engineSink) Source() *ops.Source           { return s.src }
 func (s *engineSink) Close()                        { s.ing.CloseStream(s.src) }
-
-// NewCallbackBackend serves exactly one stream, delivering every tuple to a
-// callback — the adapter the legacy text wrapper uses. deliver must be safe
-// for concurrent use (sessions run on their own goroutines). onClose, which
-// may be nil, runs once after the stream's last EOS.
-func NewCallbackBackend(sch *tuple.Schema, deliver func(*tuple.Tuple), onClose func()) Backend {
-	return &callbackBackend{sch: sch, deliver: deliver, onClose: onClose}
-}
-
-type callbackBackend struct {
-	sch     *tuple.Schema
-	deliver func(*tuple.Tuple)
-	onClose func()
-}
-
-func (b *callbackBackend) Open(name string) (*tuple.Schema, StreamSink, error) {
-	if name != b.sch.Name {
-		return nil, nil, fmt.Errorf("server: unknown stream %q (serving %q)", name, b.sch.Name)
-	}
-	return b.sch, &callbackSink{b: b}, nil
-}
-
-type callbackSink struct{ b *callbackBackend }
-
-func (s *callbackSink) Ingest(t *tuple.Tuple) { s.b.deliver(t) }
-func (s *callbackSink) IngestBatch(ts []*tuple.Tuple) {
-	for _, t := range ts {
-		s.b.deliver(t)
-	}
-}
-func (s *callbackSink) Source() *ops.Source { return nil }
-func (s *callbackSink) Close() {
-	if s.b.onClose != nil {
-		s.b.onClose()
-	}
-}

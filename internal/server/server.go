@@ -21,15 +21,13 @@
 //     the session stops reading and stops granting, so the client's window
 //     drains and the pressure reaches the true producer.
 //
-// A connection that does not start with the magic falls back to text mode —
-// one newline-delimited stream decoded by Options.Text (the legacy CSV
-// wrapper path) — so pre-protocol feeds keep working on the same port.
+// A connection that does not start with the magic is closed without being
+// served.
 package server
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -44,22 +42,6 @@ import (
 // DefaultCredits is the per-session tuple credit window when Options.Credits
 // is zero.
 const DefaultCredits = 1 << 16
-
-// TupleDecoder decodes one tuple per call from some text format; it returns
-// an error (conventionally io.EOF) when the input ends. wrappers.CSVScanner
-// satisfies it.
-type TupleDecoder interface {
-	Next() (*tuple.Tuple, error)
-}
-
-// TextOptions enables the legacy text fallback: connections that do not
-// present the wire magic are decoded as one unframed text stream.
-type TextOptions struct {
-	// Stream is the declared stream every text connection feeds.
-	Stream string
-	// NewDecoder builds the decoder for one connection, e.g. a CSV scanner.
-	NewDecoder func(r io.Reader, sch *tuple.Schema) TupleDecoder
-}
 
 // PlanHandler accepts distributed-execution control frames (PLAN_DEPLOY /
 // PLAN_START / PLAN_STOP). internal/dist.Worker implements it; a server
@@ -104,8 +86,6 @@ type Options struct {
 	// DefaultCredits). The server grants the full window at HELLO_ACK and
 	// tops it up with DEMAND frames once half is consumed.
 	Credits uint32
-	// Text, when non-nil, enables the text-mode fallback.
-	Text *TextOptions
 	// Now supplies the server clock in µs (skew sampling, trace stamps);
 	// defaults to wall time since server start. Use the engine's clock so
 	// trace timelines line up.
@@ -194,7 +174,6 @@ func (st *streamState) admitSeq(seq uint64, n int) int {
 type serverMetrics struct {
 	sessions     *metrics.Counter64
 	sessionsLive *metrics.Gauge64
-	sessionsText *metrics.Counter64
 	framesIn     *metrics.Counter64
 	framesOut    *metrics.Counter64
 	bytesIn      *metrics.Counter64
@@ -250,7 +229,6 @@ func Listen(addr string, opts Options) (*Server, error) {
 	m := &s.m
 	m.sessions = s.reg.Counter("sm_net_sessions_total")
 	m.sessionsLive = s.reg.Gauge("sm_net_sessions_active")
-	m.sessionsText = s.reg.Counter("sm_net_sessions_text_total")
 	m.framesIn = s.reg.Counter("sm_net_frames_in_total")
 	m.framesOut = s.reg.Counter("sm_net_frames_out_total")
 	m.bytesIn = s.reg.Counter("sm_net_bytes_in_total")

@@ -1,11 +1,9 @@
 package server_test
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -459,72 +457,15 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// lineDecoder is a minimal text decoder: "<ts>,<id>,<v>" per line.
-type lineDecoder struct {
-	br  *bufio.Reader
-	sch *tuple.Schema
-}
-
-func (d *lineDecoder) Next() (*tuple.Tuple, error) {
-	line, err := d.br.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.Split(strings.TrimSpace(line), ",")
-	ts, _ := strconv.ParseInt(parts[0], 10, 64)
-	id, _ := strconv.ParseInt(parts[1], 10, 64)
-	v, _ := strconv.ParseFloat(parts[2], 64)
-	return tuple.NewData(tuple.Time(ts), tuple.Int(id), tuple.Float(v)), nil
-}
-
-func TestTextFallback(t *testing.T) {
-	back := newRecBackend(sensorSchema(), nil)
-	srv, err := server.Listen("127.0.0.1:0", server.Options{
-		Backend: back,
-		Text: &server.TextOptions{
-			Stream: "sensors",
-			NewDecoder: func(r io.Reader, sch *tuple.Schema) server.TupleDecoder {
-				return &lineDecoder{br: bufio.NewReader(r), sch: sch}
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		fmt.Fprintf(conn, "%d,%d,%g\n", 100+i, i, 0.25)
-	}
-	conn.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		data, _, closed := back.counts()
-		if data == 5 {
-			if closed {
-				t.Fatal("text disconnect must not close the stream")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout: got %d tuples", data)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestTextRejectedWithoutOptions(t *testing.T) {
+// TestNonMagicConnectionIsDropped: a peer that does not open with wire.Magic
+// is closed without being served, and leaves nothing behind.
+func TestNonMagicConnectionIsDropped(t *testing.T) {
 	back := newRecBackend(sensorSchema(), nil)
 	srv, err := server.Listen("127.0.0.1:0", server.Options{Backend: back})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Close() // idempotent; covers the failure paths
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -534,5 +475,22 @@ func TestTextRejectedWithoutOptions(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Error("expected the stray text connection to be dropped")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Sessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still open after the drop", srv.Sessions())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung after a dropped connection")
+	}
+	if data, punct, _ := back.counts(); data != 0 || punct != 0 {
+		t.Errorf("dropped connection ingested %d tuples, %d punctuations", data, punct)
 	}
 }

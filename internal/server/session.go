@@ -71,12 +71,11 @@ func (c *session) run() {
 	if err != nil {
 		return // died before identifying itself
 	}
-	if bytes.Equal(head, wire.Magic[:]) {
-		br.Discard(len(wire.Magic))
-		c.runBinary(br)
-	} else {
-		c.runText(br)
+	if !bytes.Equal(head, wire.Magic[:]) {
+		return // not a protocol speaker; drop the stray connection
 	}
+	br.Discard(len(wire.Magic))
+	c.runBinary(br)
 	// Bindings without an explicit EOS release their reference but leave the
 	// stream open: an abrupt disconnect is the engine watchdog's problem
 	// (forced ETS, dead-source EOS), not an excuse to end the stream early.
@@ -460,36 +459,4 @@ func (c *session) waitUntil(deadline time.Time) bool {
 func isNetErr(err error) bool {
 	var ne net.Error
 	return errors.Is(err, net.ErrClosed) || errors.As(err, &ne)
-}
-
-// --- text fallback ---
-
-// runText serves a legacy unframed connection: the whole connection is one
-// stream of Options.Text-decoded tuples bound to the configured stream.
-func (c *session) runText(br *bufio.Reader) {
-	s := c.s
-	if s.opts.Text == nil {
-		return // no fallback configured; drop the stray connection
-	}
-	s.m.sessionsText.Inc()
-	st, err := s.openStream(s.opts.Text.Stream)
-	if err != nil {
-		return
-	}
-	// Legacy semantics: a text connection closing does NOT end the stream —
-	// the old TCP wrapper outlived its connections.
-	defer s.releaseStream(st, false)
-	dec := s.opts.Text.NewDecoder(br, st.sch)
-	for {
-		t, err := dec.Next()
-		if err != nil {
-			return
-		}
-		if c.draining.Load() {
-			return
-		}
-		s.m.tuplesIn.Inc()
-		st.tuples.Inc()
-		st.sink.Ingest(t)
-	}
 }

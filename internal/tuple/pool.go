@@ -8,14 +8,16 @@ import (
 // Allocation pooling for the hot path. The concurrent runtime moves millions
 // of tuples per second; allocating every Tuple (and every batch slice that
 // carries tuples along an arc) from the heap makes the garbage collector the
-// bottleneck long before the operators are. The pools below let the steady
-// state recycle both.
+// bottleneck long before the operators are. Batch slices are pooled
+// (BatchPool); tuples are carved from slabs where they are produced in bulk
+// (Magazine.GetData: join outputs, frame decode).
 //
 // Ownership discipline: a tuple obtained from Get/GetPunct is owned by
 // whoever holds the pointer; Put hands it back and the caller must not touch
-// it afterwards. Recycling is always optional — a tuple that is never Put is
-// simply collected by the GC, so code that cannot prove ownership (fan-out
-// graphs, callbacks that retain tuples) just skips the Put.
+// it afterwards. A tuple handed to an engine is never Put — it may sit on
+// several arcs or in a sink callback's hands, and the GC collects it. Put is
+// for a producer that gets its own tuples back: the client library after the
+// wire flush, wire.Reader for tuples the session drops.
 
 var tuplePool = sync.Pool{New: func() interface{} { return new(Tuple) }}
 
@@ -83,9 +85,9 @@ var magazineDepot sync.Pool
 // overflows) does the magazine exchange a whole MagazineSize slab with the
 // shared depot — one synchronized operation per MagazineSize tuples instead
 // of one per tuple, which matters when the getter and the putter live on
-// different goroutines (a wrapper allocating tuples that a sink recycles)
-// and every per-tuple pool access would cross CPUs. The zero Magazine is
-// ready to use. A Magazine must not be shared between goroutines.
+// different goroutines and every per-tuple pool access would cross CPUs. The
+// zero Magazine is ready to use. A Magazine must not be shared between
+// goroutines.
 type Magazine struct {
 	stack []*Tuple
 	// tuples and vals are the uncarved rest of GetData's slabs.

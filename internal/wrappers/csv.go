@@ -1,8 +1,7 @@
 // Package wrappers implements the input and output wrappers that connect
 // the DSMS to the outside world (paper §3: source-node buffers "are being
 // filled by external wrappers", and output wrappers drain sink buffers):
-// CSV and JSON-lines codecs over io.Reader/io.Writer, and TCP line sources
-// and sinks for the real-time runtime.
+// CSV codecs over io.Reader/io.Writer.
 package wrappers
 
 import (
@@ -33,7 +32,6 @@ type CSVScanner struct {
 	opts   CSVOptions
 	line   int
 	did    bool
-	mag    tuple.Magazine
 }
 
 // NewCSVScanner returns a scanner decoding records from r against the
@@ -67,17 +65,13 @@ func (s *CSVScanner) Next() (*tuple.Tuple, error) {
 	if len(rec) != wantLen {
 		return nil, fmt.Errorf("wrappers: record %d has %d fields, want %d", s.line, len(rec), wantLen)
 	}
-	// Tuples come from the scanner's magazine: once the pipeline recycles
-	// sink-consumed tuples (runtime Options.Recycle), a steady-state ingest
-	// loop reuses the same backing storage instead of allocating per record,
-	// and the magazine refills from the shared depot a slab at a time.
-	t := s.mag.Get()
+	t := tuple.Get()
 	fi := 0
 	for i, cell := range rec {
 		if i == s.opts.TsColumn {
 			us, err := strconv.ParseInt(cell, 10, 64)
 			if err != nil {
-				s.mag.Put(t)
+				tuple.Put(t)
 				return nil, fmt.Errorf("wrappers: record %d: bad timestamp %q: %v", s.line, cell, err)
 			}
 			t.Ts = tuple.Time(us)
@@ -86,7 +80,7 @@ func (s *CSVScanner) Next() (*tuple.Tuple, error) {
 		f := s.schema.Field(fi)
 		v, err := tuple.ParseValue(f.Kind, cell)
 		if err != nil {
-			s.mag.Put(t)
+			tuple.Put(t)
 			return nil, fmt.Errorf("wrappers: record %d, field %s: %v", s.line, f.Name, err)
 		}
 		t.Vals = append(t.Vals, v)

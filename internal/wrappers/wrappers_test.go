@@ -2,13 +2,8 @@ package wrappers
 
 import (
 	"bytes"
-
-	"io"
-
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -101,129 +96,6 @@ func TestCSVWriterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONScanner(t *testing.T) {
-	in := `{"ts_us":1000,"id":1,"temp":20.5,"loc":"lab"}
-{"id":2,"temp":30.0}
-
-{"ts_us":3000,"id":3,"temp":1.0,"loc":"roof"}
-`
-	sc := NewJSONScanner(strings.NewReader(in), sensorSchema())
-	var got []*tuple.Tuple
-	for {
-		tp, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tp)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d tuples", len(got))
-	}
-	if got[0].Ts != 1000 || got[0].Vals[2].AsString() != "lab" {
-		t.Errorf("row 0 = %v", got[0])
-	}
-	// Missing fields stay null.
-	if !got[1].Vals[2].IsNull() || got[1].Ts != 0 {
-		t.Errorf("row 1 = %v", got[1])
-	}
-}
-
-func TestJSONScannerErrors(t *testing.T) {
-	sc := NewJSONScanner(strings.NewReader("{bad json}\n"), sensorSchema())
-	if _, err := sc.Next(); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	sc = NewJSONScanner(strings.NewReader(`{"id":"nope"}`+"\n"), sensorSchema())
-	if _, err := sc.Next(); err == nil {
-		t.Error("type mismatch accepted")
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	sch := sensorSchema()
-	var buf bytes.Buffer
-	orig := tuple.NewData(1234, tuple.Int(7), tuple.Float(2.5), tuple.String_("x"))
-	if err := WriteJSON(&buf, sch, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(&buf, sch, tuple.NewPunct(1)); err != nil {
-		t.Fatal(err)
-	}
-	sc := NewJSONScanner(&buf, sch)
-	got, err := sc.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ts != 1234 || got.Vals[0].AsInt() != 7 || got.Vals[2].AsString() != "x" {
-		t.Errorf("round trip = %v", got)
-	}
-	if _, err := sc.Next(); err != io.EOF {
-		t.Error("punctuation leaked into JSON output")
-	}
-}
-
-func TestTCPSourceAndSink(t *testing.T) {
-	sch := sensorSchema()
-	var mu sync.Mutex
-	var got []*tuple.Tuple
-	src, err := NewTCPSource("127.0.0.1:0", sch, CSVOptions{TsColumn: 0},
-		func(tp *tuple.Tuple) {
-			mu.Lock()
-			got = append(got, tp)
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-
-	sink, err := NewTCPSink(src.Addr().String(), sch, CSVOptions{TsColumn: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		tp := tuple.NewData(tuple.Time(i*1000), tuple.Int(int64(i)), tuple.Float(1.5), tuple.String_("lab"))
-		if err := sink.Write(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sink.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out with %d/5 tuples", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got[4].Ts != 4000 || got[4].Vals[0].AsInt() != 4 {
-		t.Errorf("last tuple = %v", got[4])
-	}
-	if src.Received() != 5 {
-		t.Errorf("Received = %d", src.Received())
-	}
-}
-
-func TestTCPSourceBadAddr(t *testing.T) {
-	if _, err := NewTCPSource("256.0.0.1:99999", sensorSchema(), CSVOptions{TsColumn: -1}, nil); err == nil {
-		t.Error("bad listen address accepted")
-	}
-	if _, err := NewTCPSink("127.0.0.1:1", sensorSchema(), CSVOptions{TsColumn: -1}); err == nil {
-		t.Error("dial to closed port should fail")
-	}
-}
-
 func TestCSVWriterNoTsColumn(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewCSVWriter(&buf, sensorSchema(), CSVOptions{TsColumn: -1, Header: true})
@@ -236,49 +108,5 @@ func TestCSVWriterNoTsColumn(t *testing.T) {
 	want := "id,temp,loc\n1,2,a\n"
 	if buf.String() != want {
 		t.Errorf("output = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestJSONAllKindsRoundTrip(t *testing.T) {
-	sch := tuple.NewSchema("k",
-		tuple.Field{Name: "i", Kind: tuple.IntKind},
-		tuple.Field{Name: "f", Kind: tuple.FloatKind},
-		tuple.Field{Name: "s", Kind: tuple.StringKind},
-		tuple.Field{Name: "b", Kind: tuple.BoolKind},
-		tuple.Field{Name: "t", Kind: tuple.TimeKind},
-	)
-	var buf bytes.Buffer
-	orig := tuple.NewData(9,
-		tuple.Int(1), tuple.Float(2.5), tuple.String_("x"),
-		tuple.Bool(true), tuple.TimeVal(77))
-	if err := WriteJSON(&buf, sch, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewJSONScanner(&buf, sch).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range orig.Vals {
-		if !got.Vals[i].Equal(orig.Vals[i]) {
-			t.Errorf("field %d: %v != %v", i, got.Vals[i], orig.Vals[i])
-		}
-	}
-}
-
-func TestJSONTypeErrorsPerKind(t *testing.T) {
-	sch := tuple.NewSchema("k",
-		tuple.Field{Name: "i", Kind: tuple.IntKind},
-		tuple.Field{Name: "f", Kind: tuple.FloatKind},
-		tuple.Field{Name: "s", Kind: tuple.StringKind},
-		tuple.Field{Name: "b", Kind: tuple.BoolKind},
-		tuple.Field{Name: "t", Kind: tuple.TimeKind},
-	)
-	for _, bad := range []string{
-		`{"i":"x"}`, `{"f":"x"}`, `{"s":5}`, `{"b":"x"}`, `{"t":"x"}`,
-		`{"ts_us":"nope"}`,
-	} {
-		if _, err := NewJSONScanner(strings.NewReader(bad+"\n"), sch).Next(); err == nil {
-			t.Errorf("input %s accepted", bad)
-		}
 	}
 }

@@ -87,9 +87,9 @@ type (
 	Runtime = runtime.Engine
 	// RuntimeOptions configures a Runtime.
 	RuntimeOptions = runtime.Options
-	// AdaptiveOptions configures the self-tuning controller attached to a
-	// Runtime via RuntimeOptions.Adaptive.
-	AdaptiveOptions = runtime.AdaptiveOptions
+	// AdaptiveOptions configures the self-tuning controller AttachAdaptive
+	// builds over a Runtime.
+	AdaptiveOptions = adapt.Options
 	// AdaptiveController closes the metrics loop over a running Runtime,
 	// retuning batch sizes, shard tables, and join probe orders at
 	// punctuation boundaries.
@@ -151,10 +151,12 @@ func NewRuntime(e *Engine, opts RuntimeOptions) (*Runtime, error) {
 	return runtime.New(e.Graph(), opts)
 }
 
-// AttachAdaptive builds the self-tuning controller from the runtime's own
-// RuntimeOptions.Adaptive (nil means all defaults). Call Start after the
-// runtime is started, Stop before tearing it down.
-func AttachAdaptive(rt *Runtime) *AdaptiveController { return adapt.Attach(rt) }
+// AttachAdaptive builds the self-tuning controller over rt from opts (nil
+// means all defaults). Call Start after the runtime is started, Stop before
+// tearing it down.
+func AttachAdaptive(rt *Runtime, opts *AdaptiveOptions) *AdaptiveController {
+	return adapt.New(rt, opts)
+}
 
 // NewSim builds a discrete-event simulation over a built exec engine.
 func NewSim(ex *ExecEngine, horizon Time) *Sim { return sim.New(ex, horizon) }
