@@ -344,7 +344,9 @@ func buildRuntimeUnion(b *testing.B, opts runtime.Options) (*runtime.Engine, *op
 // BenchmarkRuntimeThroughput measures the concurrent engine end to end:
 // PerTuple is the unbatched baseline (BatchSize 1, one channel send and one
 // heap tuple per arc hop); Batched64 is the micro-batched data plane at the
-// default batch size.
+// default batch size; PerTupleDefault is the paper's scenario C ingest — one
+// Ingest call per tuple, 999:1 across the two sources, default batching —
+// so one op is one tuple through the source inlets.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	b.Run("PerTuple", func(b *testing.B) {
 		e, s1, s2 := buildRuntimeUnion(b, runtime.Options{
@@ -391,6 +393,23 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 				raws = append(raws, t)
 			}
 			e.IngestBatch(s2, raws)
+		}
+		e.CloseStream(s1)
+		e.CloseStream(s2)
+		e.Wait()
+	})
+	b.Run("PerTupleDefault", func(b *testing.B) {
+		e, s1, s2 := buildRuntimeUnion(b, runtime.Options{OnDemandETS: true})
+		e.Start()
+		t := tuple.NewData(0, tuple.Int(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%1000 == 999 {
+				e.Ingest(s2, t.Clone())
+			} else {
+				e.Ingest(s1, t.Clone())
+			}
 		}
 		e.CloseStream(s1)
 		e.CloseStream(s2)

@@ -1,5 +1,5 @@
 // Punctuation-aligned checkpointing (DESIGN.md §14). A checkpoint is cut by
-// injecting a tagged punctuation — a barrier — into every source inbox. The
+// appending a tagged punctuation — a barrier — to every source's inlet. The
 // barrier rides the ordinary arcs: sources rewrite its timestamp to their
 // standing bound, splitters broadcast a copy to every shard, and multi-input
 // operators align barriers across inputs with the consume-and-stash protocol
@@ -154,19 +154,14 @@ func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, e
 		return nil, fmt.Errorf("runtime: checkpoint %d: %s", id, why)
 	}
 
-	// Inject one tagged barrier into each source's fan-in channel. It queues
-	// behind pending ingest like any delivery, so the source's sequence
-	// number at barrier emission is the exact cut point.
+	// Append one tagged barrier to each source's inlet. It queues behind
+	// pending ingest like any producer's tuple, so the source's sequence
+	// number at barrier emission is the exact cut point. It never waits
+	// for room — one tuple per checkpoint cannot grow the inlet unbounded.
 	for _, sn := range e.srcNodes {
 		p := tuple.GetPunct(tuple.MinTime)
 		p.Ckpt = id
-		select {
-		case sn.in <- portBatch{port: 0, one: p}:
-		case <-e.stop:
-			return abort("engine stopped during barrier injection")
-		case <-deadline.C:
-			return abort(fmt.Sprintf("timeout injecting barrier into %q", sn.name))
-		}
+		sn.inlet.force(p)
 	}
 
 	// Collect one report per node — stateless nodes report too (nil

@@ -136,7 +136,7 @@ func (e *Engine) instrument() {
 		o.blockedOn = reg.Gauge("sm_node_blocking_input" + lbl)
 		o.blockedOn.Set(-1)
 		n.obs = o
-		reg.GaugeFunc("sm_node_chan_backlog"+lbl, func() int64 { return int64(len(n.in)) })
+		reg.GaugeFunc("sm_node_chan_backlog"+lbl, func() int64 { return int64(n.backlog()) })
 		// Live tuned value: /vars shows what the adaptive controller has
 		// actually applied, per node.
 		reg.GaugeFunc("sm_node_batch_size"+lbl, func() int64 { return n.batchSize.Load() })
@@ -305,11 +305,13 @@ func (e *Engine) notePunctOut(n *node, t *tuple.Tuple) {
 // per-arc watermark gauge and event-time-lag reservoir (engine clock minus
 // the bound: how far this arc's watermark trails "now") — and records the
 // dequeue span event for a traced punctuation. port is the input arc (0
-// for a source's ingest feed); trace 0 means untraced.
+// for a source's ingest feed); trace 0 means untraced. A checkpoint barrier
+// arrives at its source at MinTime, a placeholder rather than a bound, and
+// EOS at MaxTime: neither is a lag sample.
 func (e *Engine) notePunctArrival(n *node, port int, ts tuple.Time, trace uint64) {
 	n.notePunctIn(ts)
 	o := n.obs
-	if ts != tuple.MaxTime && port >= 0 && port < len(o.arcWm) {
+	if ts != tuple.MaxTime && ts != tuple.MinTime && port >= 0 && port < len(o.arcWm) {
 		v := int64(ts)
 		if v > o.arcWm[port].Load() {
 			o.arcWm[port].Set(v) // single writer: load+store suffices
@@ -345,6 +347,15 @@ func (e *Engine) stampPunctTrace(n *node, t *tuple.Tuple) {
 		return
 	}
 	t.Trace = n.lastInTrace // may stay 0: upstream was never traced
+}
+
+// backlog is NodeSnapshot.ChanBacklog: batches in an interior node's inbox
+// channel, tuples in a source's inlet. Safe from any goroutine.
+func (n *node) backlog() int {
+	if n.inlet != nil {
+		return n.inlet.len()
+	}
+	return len(n.in)
 }
 
 // notePunctIn accounts a received punctuation and raises the node's input
@@ -418,8 +429,9 @@ type NodeSnapshot struct {
 	PunctIn, PunctOut   uint64
 	BatchesOut          uint64
 	// QueueDepth is the node's buffered input occupancy as last published
-	// by its goroutine; QueueHWM its high-water mark; ChanBacklog the
-	// undrained arc deliveries waiting in the node's inbox channel.
+	// by its goroutine; QueueHWM its high-water mark; ChanBacklog what waits
+	// for the goroutine to pick it up — arc deliveries (batches) in an
+	// interior node's inbox channel, tuples in a source's inlet.
 	QueueDepth, QueueHWM, ChanBacklog int
 	// WatermarkIn/Watermark are the highest punctuation bounds received /
 	// emitted (MinTime until the first punctuation).
@@ -521,7 +533,7 @@ func (e *Engine) Snapshot() Snapshot {
 			BatchesOut:  o.batchesOut.Load(),
 			QueueDepth:  int(o.queueDepth.Load()),
 			QueueHWM:    int(o.queueHWM.Load()),
-			ChanBacklog: len(n.in),
+			ChanBacklog: n.backlog(),
 			WatermarkIn: tuple.Time(o.wmIn.Load()),
 			Watermark:   tuple.Time(o.wmOut.Load()),
 			IdleSpells:  o.idleSpells.Load(),

@@ -30,6 +30,14 @@
 //     never outlive their producer's attention;
 //   - delay: while a node stays busy, batches older than maxBatchDelay are
 //     flushed so continuous low-yield operators still bound latency.
+//
+// # Ingest
+//
+// Producers do not send to a source over a channel: each source node has an
+// inlet, a mutex-guarded append buffer its goroutine swaps out whole. A
+// per-tuple Ingest is then one short critical section, and everything a take
+// moves shares one arrival instant, so per-tuple ingest costs about what
+// IngestBatch does.
 package runtime
 
 import (
@@ -57,9 +65,16 @@ const DefaultBatchSize = 64
 // under sustained load.
 const maxBatchDelay = 500 * time.Microsecond
 
-// channelDepth is each node's inbox capacity in batches: what a consumer a
-// scheduling quantum behind can absorb before upstream sends block.
+// channelDepth is each non-source node's inbox capacity in batches: what a
+// consumer a scheduling quantum behind can absorb before upstream sends block.
 const channelDepth = 256
+
+// inletCap is a source inlet's capacity in tuples: how far producers may run
+// ahead of the source goroutine before Ingest waits. Big enough that one
+// take amortizes the source's wake-up and clock read over thousands of
+// per-tuple Ingest calls; under backpressure it adds to MaxQueueLen's bound
+// at a source.
+const inletCap = 4096
 
 // Options configures a runtime engine.
 type Options struct {
@@ -118,8 +133,10 @@ type Options struct {
 	// MaxQueueLen, when > 0, bounds each input queue's buffered *data*
 	// tuples. The default policy is backpressure: a node over its bound
 	// stops draining its inbox channel, the channel fills, and upstream
-	// emitTo / Ingest block. With Shed, the node instead drops its oldest
-	// buffered data tuples (punctuation is never shed) and counts them.
+	// emit blocks; a source over its bound stops taking from its inlet,
+	// which fills to inletCap tuples, and Ingest blocks. With Shed, the node
+	// instead drops its oldest buffered data tuples (punctuation is never
+	// shed) and counts them.
 	MaxQueueLen int
 	// Shed switches the MaxQueueLen policy from backpressure to
 	// drop-oldest load shedding for this graph.
@@ -206,22 +223,115 @@ type Engine struct {
 	ckptDur    *metrics.Reservoir
 }
 
-// portBatch is one arc delivery: a single tuple (the Ingest fast path, no
-// slice involved) or a pooled batch whose slice the receiver returns to the
-// engine's BatchPool.
+// portBatch is one arc delivery: a pooled batch whose slice the receiver
+// returns to the engine's BatchPool.
 type portBatch struct {
-	port int
-	one  *tuple.Tuple
-	many []*tuple.Tuple
+	port  int
+	batch []*tuple.Tuple
+}
+
+// inlet is a source node's ingest buffer. Producers append under mu; the
+// source goroutine swaps the whole buffer out in one take. Ingest,
+// IngestBatch, CloseStream and checkpoint barriers all append here in call
+// order, so a source has one FIFO and a barrier cuts at an exact sequence
+// number.
+type inlet struct {
+	mu  sync.Mutex
+	buf []*tuple.Tuple
+	// room, non-nil while a producer waits for room, is closed by the next
+	// take to wake every waiter at once.
+	room chan struct{}
+	// bell is rung when buf turns non-empty. Capacity 1: a ring made while
+	// the source is busy waits for its next idle select.
+	bell chan struct{}
+	// spare is the emptied buffer the next take swaps in, so takes alternate
+	// two buffers and allocate nothing. Source-goroutine owned.
+	spare []*tuple.Tuple
+}
+
+// put appends ts as one contiguous run. While the inlet holds tuples and ts
+// would take it past inletCap it waits for a take — a run longer than
+// inletCap is admitted whole into an empty inlet — unless stop closes first,
+// in which case ts is dropped rather than wedging the producer.
+func (in *inlet) put(stop <-chan struct{}, ts ...*tuple.Tuple) {
+	in.mu.Lock()
+	for len(in.buf) > 0 && len(in.buf)+len(ts) > inletCap {
+		if in.room == nil {
+			in.room = make(chan struct{})
+		}
+		room := in.room
+		in.mu.Unlock()
+		select {
+		case <-room:
+		case <-stop:
+			return
+		}
+		in.mu.Lock()
+	}
+	in.add(ts)
+}
+
+// force appends t without waiting for room: the checkpoint barrier, one
+// tuple per checkpoint, which must not queue behind blocked producers.
+func (in *inlet) force(t *tuple.Tuple) {
+	in.mu.Lock()
+	in.add([]*tuple.Tuple{t})
+}
+
+// add appends ts, releases mu (which the caller holds), and rings the bell
+// if the buffer was empty.
+func (in *inlet) add(ts []*tuple.Tuple) {
+	ring := len(in.buf) == 0
+	in.buf = append(in.buf, ts...)
+	in.mu.Unlock()
+	if ring {
+		select {
+		case in.bell <- struct{}{}:
+		default: // already rung
+		}
+	}
+}
+
+// take swaps out everything appended so far and wakes producers waiting for
+// room. The caller hands the slice back through recycle once delivered.
+func (in *inlet) take() []*tuple.Tuple {
+	next := in.spare
+	in.spare = nil
+	in.mu.Lock()
+	b := in.buf
+	in.buf = next
+	if in.room != nil {
+		close(in.room)
+		in.room = nil
+	}
+	in.mu.Unlock()
+	return b
+}
+
+// recycle keeps a delivered take as the next take's buffer, minus its tuple
+// references. An outsized IngestBatch's buffer is let go instead.
+func (in *inlet) recycle(b []*tuple.Tuple) {
+	clear(b)
+	if cap(b) <= 2*inletCap {
+		in.spare = b[:0]
+	}
+}
+
+// len reports the tuples waiting for the next take.
+func (in *inlet) len() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.buf)
 }
 
 type node struct {
-	gn   *graph.Node
-	name string
-	obs  *nodeObs
-	in   chan portBatch // fan-in of all input arcs
-	dem  chan struct{}  // demand signals from downstream
-	ctl  chan ctlKind   // watchdog control signals; non-nil for sources only
+	gn    *graph.Node
+	name  string
+	obs   *nodeObs
+	in    chan portBatch // fan-in of all input arcs; nil for sources
+	inlet *inlet         // producers' ingest buffer; non-nil for sources only
+	dem   chan struct{}  // demand signals from downstream
+	ctl   chan ctlKind   // watchdog control signals; non-nil for sources only
 
 	outs     []*node // per out-arc consumer
 	outPorts []int
@@ -324,7 +434,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n := &node{
 			gn:      gn,
 			name:    gn.Op.Name(),
-			in:      make(chan portBatch, channelDepth),
 			dem:     make(chan struct{}, 1),
 			eosSeen: make([]bool, gn.Op.NumInputs()),
 		}
@@ -337,9 +446,12 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n.batchSize.Store(int64(e.batchSize))
 		e.nodes[gn.ID] = n
 		if s := gn.Source(); s != nil {
+			n.inlet = &inlet{bell: make(chan struct{}, 1)}
 			n.ctl = make(chan ctlKind, 4)
 			e.srcNode[s] = n
 			e.srcNodes = append(e.srcNodes, n)
+		} else {
+			n.in = make(chan portBatch, channelDepth)
 		}
 	}
 	for _, gn := range g.Nodes() {
@@ -418,24 +530,23 @@ func (e *Engine) Start() {
 // generation): stamping at the call site would race with ETS generation —
 // an in-flight tuple stamped before an ETS but delivered after it would
 // break the arc's timestamp order. Safe for concurrent use.
-// It blocks when the source's inbox channel is full (backpressure); if the
-// engine stops or fails while blocked, the tuple is dropped instead of
-// wedging the producer.
+// It blocks while the source's inlet is full (backpressure); if the engine
+// stops or fails while blocked, the tuple is dropped instead of wedging the
+// producer.
 func (e *Engine) Ingest(src *ops.Source, raw *tuple.Tuple) {
 	n := e.srcNode[src]
 	if n == nil {
 		panic("runtime: Ingest on a source not in this graph")
 	}
-	select {
-	case n.in <- portBatch{port: 0, one: raw}:
-	case <-e.stop:
-	}
+	n.inlet.put(e.stop, raw)
 }
 
-// IngestBatch delivers a batch of raw tuples to the given source node in one
-// channel operation — the producer-side analogue of arc batching. The slice
-// is copied into a pooled batch; the caller keeps ownership of raws (but not
-// of the tuples, which now belong to the stream). Safe for concurrent use.
+// IngestBatch appends a batch of raw tuples to the given source's inlet as
+// one contiguous run, in one critical section. It waits like Ingest, for
+// room for the whole batch; a batch longer than the inlet's capacity is
+// admitted whole once the inlet is empty. The caller keeps ownership of raws
+// (but not of the tuples, which now belong to the stream). Safe for
+// concurrent use.
 func (e *Engine) IngestBatch(src *ops.Source, raws []*tuple.Tuple) {
 	if len(raws) == 0 {
 		return
@@ -444,18 +555,41 @@ func (e *Engine) IngestBatch(src *ops.Source, raws []*tuple.Tuple) {
 	if n == nil {
 		panic("runtime: IngestBatch on a source not in this graph")
 	}
-	b := append(e.pool.Get(), raws...)
-	select {
-	case n.in <- portBatch{port: 0, many: b}:
-	case <-e.stop:
-		e.pool.Put(b)
-	}
+	n.inlet.put(e.stop, raws...)
 }
 
 // CloseStream sends end-of-stream into the named source; once every source
 // is closed, the graph drains and Wait returns.
 func (e *Engine) CloseStream(src *ops.Source) {
 	e.Ingest(src, tuple.EOS())
+}
+
+// drainInlet moves everything producers have appended to a source's inlet
+// into the source, in append order. The take shares one arrival instant —
+// one clock read and one liveness note however many tuples it moves. Unlike
+// an arc batch, a take can hold punctuation anywhere (a producer's slice, or
+// per-tuple calls interleaving data and bounds), so every punctuation in it
+// is accounted, not only a trailing one.
+func (e *Engine) drainInlet(n *node, src *ops.Source) {
+	b := n.inlet.take()
+	if len(b) > 0 {
+		n.obs.tuplesIn.Add(uint64(len(b)))
+		now := e.now()
+		e.noteSourceActivity(n, now)
+		for _, t := range b {
+			if t.IsPunct() {
+				e.notePunctArrival(n, 0, t.Ts, t.Trace)
+				if t.IsEOS() {
+					n.srcDone = true
+				}
+				src.Offer(t)
+			} else if !e.fault.DropTuple(n.name) { // chaos: lost before entering the stream
+				src.Ingest(t, now)
+			}
+		}
+		e.shedOverflow(n)
+	}
+	n.inlet.recycle(b)
 }
 
 // Wait blocks until every node goroutine has exited (all streams closed and
@@ -511,7 +645,7 @@ func (e *Engine) flushArc(n *node, i int) {
 		e.trace.Emit(metrics.EvBatchFlush, n.name, e.now(), int64(len(b)))
 	}
 	select {
-	case n.outs[i].in <- portBatch{port: n.outPorts[i], many: b}:
+	case n.outs[i].in <- portBatch{port: n.outPorts[i], batch: b}:
 	case <-e.stop:
 		// The engine is stopping; the consumer may already have exited, so
 		// a plain send could wedge this node forever. Abandon the batch.
@@ -613,93 +747,44 @@ func (e *Engine) runNode(n *node) {
 		Now:    e.now,
 	}
 	ctx.OnBarrier = func(id uint64, bound tuple.Time) { e.onBarrier(n, id, bound) }
+	var bell chan struct{} // nil for interior nodes: that select case never fires
 	if src != nil {
-		// Source nodes pull from their inbox; route the engine's fan-in
-		// channel into it.
+		// Source nodes pull from their inbox, which drainInlet fills.
 		ctx.Ins = nil
+		bell = n.inlet.bell
 	}
 
-	deliverOne := func(port int, t *tuple.Tuple) {
-		n.obs.tuplesIn.Inc()
-		if t.IsPunct() {
-			e.notePunctArrival(n, port, t.Ts, t.Trace)
-		} else if src == nil {
-			// Late is judged against this arc's own bound, as in deliver.
-			if wm := n.obs.arcWm[port].Load(); wm > int64(tuple.MinTime) && int64(t.Ts) < wm {
-				e.countLate(n, 1)
-			}
-		}
-		if src != nil {
-			e.noteSourceActivity(n)
-			if t.IsEOS() {
-				n.srcDone = true
-			}
-			if t.IsPunct() {
-				src.Offer(t)
-			} else if !e.fault.DropTuple(n.name) { // chaos: lost before entering the stream
-				src.Ingest(t, e.now())
-			}
-			return
-		}
-		n.ins[port].Push(t)
-		if t.IsEOS() {
-			n.eosSeen[port] = true
-		}
-		e.shedOverflow(n)
-	}
 	deliver := func(pb portBatch) {
-		if pb.one != nil {
-			deliverOne(pb.port, pb.one)
-			return
-		}
-		n.obs.tuplesIn.Add(uint64(len(pb.many)))
+		n.obs.tuplesIn.Add(uint64(len(pb.batch)))
 		// Late accounting must use the arc's watermark as of *before* this
 		// delivery: a batch's own trailing punctuation bounds future
 		// batches, not the data travelling ahead of it in the same batch.
 		// The arc's, not the node's: another input's bound may run ahead
 		// without any tuple on this one being late.
 		wmPre := n.obs.arcWm[pb.port].Load()
-		// Punctuation flushes its batch when emitted, so a punct can only
-		// be a batch's last element — one check accounts the whole batch.
-		last := pb.many[len(pb.many)-1]
+		// Punctuation flushes its batch the moment it is emitted, so a punct
+		// — EOS included — can only be a batch's last element: one check
+		// accounts the whole batch. (Not so for a source's inlet take.)
+		last := pb.batch[len(pb.batch)-1]
 		if last.IsPunct() {
 			e.notePunctArrival(n, pb.port, last.Ts, last.Trace)
 		}
-		if src != nil {
-			e.noteSourceActivity(n)
-			// One clock read for the whole batch: the tuples arrived in the
-			// same channel delivery, so they share an arrival instant.
-			now := e.now()
-			for _, t := range pb.many {
-				if t.IsPunct() {
-					if t.IsEOS() {
-						n.srcDone = true
-					}
-					src.Offer(t)
-				} else if !e.fault.DropTuple(n.name) {
-					src.Ingest(t, now)
+		if wmPre > int64(tuple.MinTime) {
+			late := 0
+			for _, t := range pb.batch {
+				if !t.IsPunct() && int64(t.Ts) < wmPre {
+					late++
 				}
 			}
-		} else {
-			if wmPre > int64(tuple.MinTime) {
-				late := 0
-				for _, t := range pb.many {
-					if !t.IsPunct() && int64(t.Ts) < wmPre {
-						late++
-					}
-				}
-				if late > 0 {
-					e.countLate(n, late)
-				}
-			}
-			n.ins[pb.port].PushAll(pb.many)
-			// Punctuation flushes its batch the moment it is emitted, so a
-			// punct — EOS included — can only be a batch's last element.
-			if last.IsEOS() {
-				n.eosSeen[pb.port] = true
+			if late > 0 {
+				e.countLate(n, late)
 			}
 		}
-		e.pool.Put(pb.many)
+		n.ins[pb.port].PushAll(pb.batch)
+		if last.IsEOS() {
+			n.eosSeen[pb.port] = true
+		}
+		e.pool.Put(pb.batch)
 		e.shedOverflow(n)
 	}
 	allEOS := func() bool {
@@ -729,17 +814,24 @@ func (e *Engine) runNode(n *node) {
 		// Chaos probe: a clean failure point where the operator's state is
 		// consistent, so injected panics exercise the supervisor.
 		e.fault.MaybePanic(n.name)
-		// Drain pending channel input without blocking. With a queue bound
+		// Drain pending input without blocking: a source takes its whole
+		// inlet, an interior node empties its channel. With a queue bound
 		// and the backpressure policy, a node over its bound stops draining
-		// — the channel fills and upstream sends block.
-		for e.canDrain(n) {
-			select {
-			case pb := <-n.in:
-				deliver(pb)
-				continue
-			default:
+		// — the channel or inlet fills and upstream sends or Ingest block.
+		if src != nil {
+			if e.canDrain(n) {
+				e.drainInlet(n, src)
 			}
-			break
+		} else {
+			for e.canDrain(n) {
+				select {
+				case pb := <-n.in:
+					deliver(pb)
+					continue
+				default:
+				}
+				break
+			}
 		}
 		// Queues are at their fullest right after the drain: publish depth
 		// and high-water mark (owner-goroutine write, scraper-safe read).
@@ -825,10 +917,13 @@ func (e *Engine) runNode(n *node) {
 			continue
 		}
 		// Block until input, demand, or a watchdog control signal arrives.
-		// (n.ctl is nil for non-source nodes; a nil case never fires.)
+		// (n.in is nil for sources, bell and n.ctl for interior nodes; a
+		// nil case never fires.)
 		select {
 		case pb := <-n.in:
 			deliver(pb)
+		case <-bell:
+			// The drain at the top of the loop takes the inlet.
 		case <-n.dem:
 			e.handleDemand(n, ctx)
 		case k := <-n.ctl:

@@ -19,8 +19,8 @@
 //     late-drop paths and are counted as late);
 //   - an overloaded graph grows queues without bound → Options.MaxQueueLen
 //     caps buffered data per input, either by backpressure (stop draining,
-//     let the channel fill, block upstream) or by drop-oldest shedding with
-//     a per-node TuplesShed counter.
+//     let the channel or source inlet fill, block upstream) or by
+//     drop-oldest shedding with a per-node TuplesShed counter.
 package runtime
 
 import (
@@ -206,16 +206,16 @@ func (e *Engine) handleCtl(n *node, k ctlKind) {
 	}
 }
 
-// noteSourceActivity records an arrival at a source node and revives it if
-// the watchdog had declared it dead.
-func (e *Engine) noteSourceActivity(n *node) {
-	n.lastIn.Store(int64(e.now()))
+// noteSourceActivity records an arrival at a source node at engine clock now
+// and revives it if the watchdog had declared it dead.
+func (e *Engine) noteSourceActivity(n *node, now tuple.Time) {
+	n.lastIn.Store(int64(now))
 	if n.dead.Load() {
 		n.dead.Store(false)
 		e.deadSources.Add(-1)
 		n.obs.revived.Inc()
 		if e.trace != nil {
-			e.trace.Emit(metrics.EvSourceRevive, n.name, e.now(), 0)
+			e.trace.Emit(metrics.EvSourceRevive, n.name, now, 0)
 		}
 	}
 }
@@ -232,9 +232,10 @@ func (e *Engine) countLate(n *node, k int) {
 }
 
 // canDrain reports whether the node may keep moving deliveries from its
-// inbox channel into its input queues. Unbounded engines and shedding
-// engines always drain; a backpressure engine over its bound stops, which
-// fills the channel and blocks upstream sends — the pressure chain.
+// inbox channel (a source: its inlet) into its input queues. Unbounded
+// engines and shedding engines always drain; a backpressure engine over its
+// bound stops, which fills the channel and blocks upstream sends, or fills
+// the inlet and blocks Ingest — the pressure chain.
 func (e *Engine) canDrain(n *node) bool {
 	if e.maxQueue <= 0 || e.shed {
 		return true
