@@ -21,9 +21,10 @@ test:
 # operators, and the metrics counters, so the whole tree runs under -race.
 # This is also where the fault drills run: TestChaosSoak (internal/runtime),
 # TestKillRestoreVerify (internal/ckpt), TestAdaptiveSmoke (internal/adapt)
-# and TestKillTheClient (client).
+# and TestKillTheClient (client). internal/experiments alone takes 13-14
+# minutes under -race on a 2-core box, past go test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Smoke-run every benchmark once so bit-rot in bench code is caught by CI.
 bench:
@@ -64,9 +65,11 @@ dist-smoke:
 
 # Short coverage-guided fuzz of the CQL parser, the wire-protocol frame
 # decoder, and the operator-state checkpoint codecs (panic/hang/losslessness
-# on arbitrary input).
+# on arbitrary input), and a differential fuzz of the CQL expression
+# compiler against its boxed reference evaluator.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s -run '^$$' ./internal/cql
+	$(GO) test -fuzz=FuzzCompileExpr -fuzztime=30s -run '^$$' ./internal/cql
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzStateRoundTrip -fuzztime=30s -run '^$$' ./internal/ops
 

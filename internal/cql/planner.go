@@ -323,6 +323,11 @@ func planProjection(sel *SelectStmt, relSchema *tuple.Schema) (*tuple.Schema, fu
 			outFields = append(outFields, tuple.Field{Name: name, Kind: f.Kind})
 		}
 		out := tuple.NewSchema(relSchema.Name+"_proj", outFields...).WithTS(relSchema.TS)
+		if identity(idx, relSchema.Arity()) {
+			// Every column in place: the relation's tuples already have the
+			// output's shape, and only the names (the schema) change.
+			return out, func(_ *graph.Graph, in graph.NodeID) (graph.NodeID, error) { return in, nil }, nil
+		}
 		build := func(g *graph.Graph, in graph.NodeID) (graph.NodeID, error) {
 			return g.AddNode(ops.NewProject("project", out, idx), in), nil
 		}
@@ -353,6 +358,19 @@ func planProjection(sel *SelectStmt, relSchema *tuple.Schema) (*tuple.Schema, fu
 		return g.AddNode(m, in), nil
 	}
 	return out, build, nil
+}
+
+// identity reports whether idx keeps all arity columns in place.
+func identity(idx []int, arity int) bool {
+	if len(idx) != arity {
+		return false
+	}
+	for i, j := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }
 
 // planAggregate handles a select list with aggregate calls.

@@ -115,6 +115,48 @@ func TestPlanComputedColumns(t *testing.T) {
 	}
 }
 
+// A select list that keeps every column in place adds no Project node, yet
+// the plan's output schema still carries the list's names.
+func TestPlanIdentitySelectListAddsNoProject(t *testing.T) {
+	cat := testCatalog(t)
+	for _, c := range []struct {
+		q       string
+		project bool
+	}{
+		{"SELECT k AS key, v FROM a", false},
+		{"SELECT a.k, a.v FROM a", false},
+		{"SELECT v, k FROM a", true},
+		{"SELECT k FROM a", true},
+		{"SELECT k, v, k FROM a", true},
+	} {
+		plan, err := PlanSelect(mustParse(t, c.q).Select, cat)
+		if err != nil {
+			t.Fatalf("PlanSelect(%q): %v", c.q, err)
+		}
+		g := graph.New("q")
+		src := g.AddNode(ops.NewSource("a", plan.Streams[0], 0))
+		out, err := plan.Build(g, map[string]graph.NodeID{"a": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out != src; got != c.project {
+			t.Errorf("%q: adds a node = %v, want %v", c.q, got, c.project)
+		}
+	}
+	plan, err := PlanSelect(mustParse(t, "SELECT k AS key, v FROM a").Select, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Out.Name != "a_proj" || plan.Out.Field(0).Name != "key" || plan.Out.Field(1).Name != "v" {
+		t.Errorf("identity output schema = %v", plan.Out)
+	}
+	out := runQuery(t, cat, "SELECT k AS key, v FROM a",
+		map[string][]*tuple.Tuple{"a": {row(1, tuple.Int(3), tuple.Float(0.5))}})
+	if len(out) != 1 || out[0].Vals[0].AsInt() != 3 || out[0].Vals[1].AsFloat() != 0.5 {
+		t.Errorf("identity select out = %v", out)
+	}
+}
+
 func TestPlanUnionOrdersByTimestamp(t *testing.T) {
 	cat := testCatalog(t)
 	out := runQuery(t, cat,

@@ -86,28 +86,14 @@ func NewSelect(name string, schema *tuple.Schema, pred Predicate) *Select {
 // according to a column index list computed by Schema.Project.
 type Project struct {
 	unary
-	idx   []int
-	ident bool // idx is a prefix-identity permutation (idx[i] == i)
+	idx []int
 }
 
 // NewProject builds a projection keeping the columns at idx, in order.
 func NewProject(name string, schema *tuple.Schema, idx []int) *Project {
 	p := &Project{idx: append([]int(nil), idx...)}
-	p.ident = true
-	for i, j := range p.idx {
-		if i != j {
-			p.ident = false
-			break
-		}
-	}
 	p.base = base{name: name, inputs: 1, schema: schema}
 	p.apply = func(t *tuple.Tuple, ctx *Ctx) bool {
-		if p.ident && len(p.idx) == len(t.Vals) {
-			// Identity projection: the tuple already has the output shape;
-			// re-allocating Vals per tuple would only feed the GC.
-			ctx.Emit(t)
-			return true
-		}
 		vals := make([]tuple.Value, len(p.idx))
 		for i, j := range p.idx {
 			vals[i] = t.Vals[j]

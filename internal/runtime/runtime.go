@@ -65,6 +65,11 @@ const DefaultBatchSize = 64
 // under sustained load.
 const maxBatchDelay = 500 * time.Microsecond
 
+// demandRetry is how long an idle-waiting node waits on a demand it sent
+// before sending it again: a source declines a demand its clock cannot yet
+// answer.
+const demandRetry = 200 * time.Microsecond
+
 // channelDepth is each non-source node's inbox capacity in batches: what a
 // consumer a scheduling quantum behind can absorb before upstream sends block.
 const channelDepth = 256
@@ -809,6 +814,8 @@ func (e *Engine) runNode(n *node) {
 		}
 		return true
 	}
+	retry := time.NewTimer(demandRetry) // the demand-retry wait below
+	defer retry.Stop()
 
 	for {
 		// Chaos probe: a clean failure point where the operator's state is
@@ -901,6 +908,17 @@ func (e *Engine) runNode(n *node) {
 			demanding = true
 		}
 		if demanding {
+			// One timer per loop, re-armed per wait: time.After would
+			// allocate one each time. Stop and drain it first: a fire left
+			// over from an earlier wait would cut this one short and
+			// re-send the demand at once.
+			if !retry.Stop() {
+				select {
+				case <-retry.C:
+				default:
+				}
+			}
+			retry.Reset(demandRetry)
 			select {
 			case pb := <-n.in:
 				deliver(pb)
@@ -908,7 +926,7 @@ func (e *Engine) runNode(n *node) {
 				e.handleDemand(n, ctx)
 			case k := <-n.ctl:
 				e.handleCtl(n, k)
-			case <-time.After(200 * time.Microsecond):
+			case <-retry.C:
 				// retry the demand on the next iteration
 			case <-e.stop:
 				e.exitIdle(n)

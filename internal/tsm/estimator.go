@@ -27,13 +27,16 @@ type ETSEstimator struct {
 	// arrival clock, relative to the previous tuple (external kind only).
 	// It is atomic because a networked source's per-connection skew
 	// estimator raises it from the session goroutine while the source's
-	// own goroutine computes ETS values; every other estimator field stays
-	// single-owner.
+	// own goroutine computes ETS values.
 	delta atomic.Int64
+	// seen records that a data tuple has been observed. It is atomic
+	// because the runtime's source-liveness watchdog reads it (CanBound)
+	// from its own goroutine. Every other estimator field stays
+	// single-owner.
+	seen atomic.Bool
 
 	lastTs      tuple.Time // timestamp of the last data tuple emitted
 	lastArrival tuple.Time // clock at which it was emitted
-	seen        bool
 
 	lastETS tuple.Time
 	hasETS  bool
@@ -82,11 +85,13 @@ func (e *ETSEstimator) Kind() tuple.TSKind { return e.kind }
 // system at clock now. External estimators need this history to bound
 // future timestamps.
 func (e *ETSEstimator) ObserveTuple(ts, now tuple.Time) {
-	if ts > e.lastTs || !e.seen {
+	if !e.seen.Load() {
+		e.lastTs = ts
+		e.seen.Store(true)
+	} else if ts > e.lastTs {
 		e.lastTs = ts
 	}
 	e.lastArrival = now
-	e.seen = true
 }
 
 // ETS returns the Enabling Time-Stamp the source can promise at clock now,
@@ -101,7 +106,7 @@ func (e *ETSEstimator) ETS(now tuple.Time) (tuple.Time, bool) {
 	case tuple.Internal:
 		ets = now
 	case tuple.External:
-		if !e.seen {
+		if !e.seen.Load() {
 			return tuple.MinTime, false
 		}
 		elapsed := now - e.lastArrival
@@ -132,7 +137,7 @@ func (e *ETSEstimator) CanBound() bool {
 	case tuple.Internal:
 		return true
 	case tuple.External:
-		return e.seen
+		return e.seen.Load()
 	default:
 		return false
 	}
@@ -156,7 +161,7 @@ func (e *ETSEstimator) Bound() tuple.Time {
 	if e.hasETS {
 		return e.lastETS
 	}
-	if e.seen {
+	if e.seen.Load() {
 		return e.lastTs
 	}
 	return tuple.MinTime
@@ -166,11 +171,12 @@ func (e *ETSEstimator) Bound() tuple.Time {
 // (lastTs, lastArrival, seen, lastETS, hasETS — δ is configuration and is
 // re-learned, not checkpointed). Must be called from the source's goroutine.
 func (e *ETSEstimator) State() (lastTs, lastArrival tuple.Time, seen bool, lastETS tuple.Time, hasETS bool) {
-	return e.lastTs, e.lastArrival, e.seen, e.lastETS, e.hasETS
+	return e.lastTs, e.lastArrival, e.seen.Load(), e.lastETS, e.hasETS
 }
 
 // SetState restores the fields exported by State.
 func (e *ETSEstimator) SetState(lastTs, lastArrival tuple.Time, seen bool, lastETS tuple.Time, hasETS bool) {
-	e.lastTs, e.lastArrival, e.seen = lastTs, lastArrival, seen
+	e.lastTs, e.lastArrival = lastTs, lastArrival
+	e.seen.Store(seen)
 	e.lastETS, e.hasETS = lastETS, hasETS
 }

@@ -185,9 +185,14 @@ type batchBox struct{ s []*Tuple }
 
 // BatchPool recycles the []*Tuple slices the runtime's arcs carry. Slices
 // come back with length zero and at least the pool's configured capacity.
+//
+// A sync.Pool holds pointers, so a slice travels in a batchBox; Get hands
+// the emptied box to a second pool, where Put picks it up again, so a round
+// trip allocates nothing once both pools are warm.
 type BatchPool struct {
 	capacity int
-	p        sync.Pool
+	p        sync.Pool // boxes holding a batch slice
+	boxes    sync.Pool // empty boxes
 }
 
 // NewBatchPool returns a pool of batch slices with the given capacity hint.
@@ -204,7 +209,11 @@ func NewBatchPool(capacity int) *BatchPool {
 
 // Get returns an empty batch slice with capacity ≥ the pool's hint.
 func (bp *BatchPool) Get() []*Tuple {
-	return bp.p.Get().(*batchBox).s[:0]
+	bb := bp.p.Get().(*batchBox)
+	s := bb.s[:0]
+	bb.s = nil
+	bp.boxes.Put(bb)
+	return s
 }
 
 // Put recycles a batch slice. Entries are cleared so recycled slices do not
@@ -217,5 +226,10 @@ func (bp *BatchPool) Put(b []*Tuple) {
 	for i := range b {
 		b[i] = nil
 	}
-	bp.p.Put(&batchBox{s: b[:0]})
+	bb, _ := bp.boxes.Get().(*batchBox)
+	if bb == nil {
+		bb = new(batchBox)
+	}
+	bb.s = b[:0]
+	bp.p.Put(bb)
 }

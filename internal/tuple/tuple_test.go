@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -159,6 +160,16 @@ func TestValueCompare(t *testing.T) {
 		{Bool(false), Bool(true), -1},
 		{Bool(true), Bool(true), 0},
 		{Value{}, Value{}, 0},
+		// Integer payloads compare exactly, past float64's 53-bit mantissa.
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(-1<<53 - 1), Int(-1 << 53), -1},
+		{TimeVal(1<<53 + 1), TimeVal(1 << 53), 1},
+		{Int(1 << 53), TimeVal(1<<53 + 1), -1},
+		{Int(math.MinInt64), Int(math.MinInt64 + 1), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		// Against a float the int widens, and NaN orders equal.
+		{Int(1<<53 + 1), Float(1 << 53), 0},
+		{Float(math.NaN()), Int(3), 0},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
@@ -176,6 +187,22 @@ func TestValueEqual(t *testing.T) {
 	}
 	if !String_("x").Equal(String_("x")) {
 		t.Error("equal strings must be Equal")
+	}
+	if Int(1<<53 + 1).Equal(Int(1 << 53)) {
+		t.Error("distinct int64 keys beyond 2^53 must not be Equal")
+	}
+}
+
+// TestValueEqualIntransitiveAcrossIntAndFloat pins the documented cost of
+// exact integer comparison: past 2^53 a float can equal two ints that are
+// unequal to each other.
+func TestValueEqualIntransitiveAcrossIntAndFloat(t *testing.T) {
+	lo, hi, f := Int(1<<53), Int(1<<53+1), Float(1<<53)
+	if !lo.Equal(f) || !hi.Equal(f) {
+		t.Errorf("%v = %v: %v, %v = %v: %v; both must widen to equal the float", lo, f, lo.Equal(f), hi, f, hi.Equal(f))
+	}
+	if lo.Equal(hi) {
+		t.Errorf("%v = %v; integer payloads must compare exactly", lo, hi)
 	}
 }
 

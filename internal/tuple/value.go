@@ -157,8 +157,24 @@ func (v Value) isNumeric() bool {
 
 // Compare orders v against o: -1, 0, +1. Null sorts before everything;
 // values of incomparable kinds order by kind tag (stable but arbitrary).
+// Two integer payloads (int, time) compare as int64, exactly; a float
+// against any numeric kind compares as float64, where NaN orders equal.
+// Mixing the two makes Compare, and so Equal, intransitive past 2^53:
+// Int(2^53+1) and Int(2^53) both equal Float(2^53) but not each other. A sort
+// or equality grouping over keys that mix ints and floats of that size may
+// therefore order or group them inconsistently; keys of one kind are exact.
 func (v Value) Compare(o Value) int {
 	if v.isNumeric() && o.isNumeric() {
+		if v.kind != FloatKind && o.kind != FloatKind {
+			switch {
+			case v.i < o.i:
+				return -1
+			case v.i > o.i:
+				return 1
+			default:
+				return 0
+			}
+		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
 		case a < b:
