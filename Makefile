@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCompileExpr -fuzztime=30s -run '^$$' ./internal/cql
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzStateRoundTrip -fuzztime=30s -run '^$$' ./internal/ops
+	$(GO) test -fuzz=FuzzValueHash -fuzztime=30s -run '^$$' ./internal/tuple
 
 # Non-test Go lines outside the benchmark: the count deletion PRs quote.
 loc:

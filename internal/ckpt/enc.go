@@ -31,9 +31,11 @@ import (
 )
 
 // Version is the snapshot encoding version. Bumped on any incompatible
-// change to the per-operator encodings; Restore rejects mismatches rather
-// than guessing.
-const Version = 1
+// change to the per-operator encodings or to what they mean; Restore rejects
+// mismatches rather than guessing. Version 2: Value.Hash changed, so a Split's
+// saved bucket→shard table (buckets are Hash % SplitBuckets) no longer
+// places a key on the shard that holds its state under version 1.
+const Version = 2
 
 // ErrCorrupt reports a snapshot that failed structural validation (bad
 // magic, short payload, CRC mismatch, or an operator shape that does not

@@ -1,9 +1,12 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tuple"
@@ -238,5 +241,38 @@ func TestDecoderTrailingBytes(t *testing.T) {
 	dec.U8()
 	if err := dec.Done(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Done with trailing byte = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStoreRejectsOldVersion rewrites a stored checkpoint's manifest to the
+// previous version (CRC resealed, so only the version is wrong): Load refuses
+// it and Latest finds nothing to restore.
+func TestStoreRejectsOldVersion(t *testing.T) {
+	if Version < 2 {
+		t.Fatalf("Version %d: version-1 split tables route by the old Value.Hash", Version)
+	}
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write(testSnap(1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ckptDirName(1), manifestName)
+	mf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mf[:len(mf)-4]
+	body[4] = Version - 1
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(1); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("Load of a version-%d snapshot: err %v, want a version error", Version-1, err)
+	}
+	if snap, err := st.Latest(); err != nil || snap != nil {
+		t.Fatalf("Latest = %v, %v; want nil, nil", snap, err)
 	}
 }

@@ -230,7 +230,7 @@ func (a *Aggregate) Exec(ctx *Ctx) bool {
 func (a *Aggregate) accumulate(w int64, t *tuple.Tuple) {
 	var key tuple.Value
 	if a.groupCol >= 0 {
-		key = t.Vals[a.groupCol]
+		key = groupKey(t.Vals[a.groupCol])
 	}
 	groups := a.buckets[w]
 	if groups == nil {
@@ -254,6 +254,16 @@ func (a *Aggregate) accumulate(w int64, t *tuple.Tuple) {
 		}
 		accs[i].add(v)
 	}
+}
+
+// groupKey canonicalises v for the group map, which compares keys with Go's
+// ==: a float compares there by its bits, so -0 becomes +0 to stay one group
+// with it. A NaN keeps its bits, so NaNs of one bit pattern are one group.
+func groupKey(v tuple.Value) tuple.Value {
+	if v.Kind() == tuple.FloatKind && v.AsFloat() == 0 {
+		return tuple.Float(0)
+	}
+	return v
 }
 
 // close emits every window whose end is ≤ bound, in window order with

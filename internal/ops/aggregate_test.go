@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"maps"
+	"math"
 	"testing"
 
 	"repro/internal/tuple"
@@ -233,5 +235,29 @@ func TestSlidingAggregateTumblingEquivalence(t *testing.T) {
 			x[i].Vals[1].AsFloat() != y[i].Vals[1].AsFloat() {
 			t.Fatalf("row %d differs: %v vs %v", i, x[i], y[i])
 		}
+	}
+}
+
+// TestAggregateFloatGroupKeys pins the group identity of float keys: -0 and
+// +0 are one group (they are Equal), reported as +0, and NaNs of one bit
+// pattern are one group.
+func TestAggregateFloatGroupKeys(t *testing.T) {
+	a := NewAggregate("a", nil, 10, 0, AggSpec{Fn: Count})
+	h := newHarness(a)
+	for i, k := range []float64{math.Copysign(0, -1), 0, math.NaN(), math.NaN(), 1} {
+		h.ins[0].Push(tuple.NewData(tuple.Time(i), tuple.Float(k)))
+	}
+	h.ins[0].Push(tuple.NewPunct(10))
+	h.run()
+	counts := map[string]int64{}
+	for _, r := range h.data() {
+		k := r.Vals[0].AsFloat()
+		if k == 0 && math.Signbit(k) {
+			t.Errorf("group key -0 emitted, want +0")
+		}
+		counts[r.Vals[0].String()] += r.Vals[1].AsInt()
+	}
+	if want := map[string]int64{"0": 2, "NaN": 2, "1": 1}; len(h.data()) != len(want) || !maps.Equal(counts, want) {
+		t.Fatalf("groups %v in %d rows, want %v", counts, len(h.data()), want)
 	}
 }

@@ -387,8 +387,7 @@ func (j *WindowJoin) produce(ctx *Ctx, side int, t *tuple.Tuple) bool {
 		ctx.Emit(out)
 	}
 	if j.hashed {
-		j.hwin[1-side].Probe(t.Vals[j.keyCols[side]], match)
-		j.hwin[side].Insert(t)
+		j.hwin[1-side].ProbeInsert(t, j.hwin[side], match)
 	} else {
 		j.win[1-side].Each(match)
 		j.win[side].Insert(t)

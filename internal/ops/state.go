@@ -357,7 +357,8 @@ func (j *MultiJoin) RestoreState(dec *ckpt.Decoder) error {
 
 // sortedValues returns m's keys in a canonical total order: Compare first,
 // then kind (Int(1) and Float(1) compare equal but are distinct keys), then
-// hash as the last resort (distinct NaN payloads).
+// hash as the last resort (NaNs of distinct bit patterns, which Compare
+// orders equal; NaNs of one bit pattern are one key).
 func sortedValues[V any](m map[tuple.Value]V) []tuple.Value {
 	keys := make([]tuple.Value, 0, len(m))
 	for k := range m {

@@ -80,7 +80,13 @@ func TestEngineSpansEndToEnd(t *testing.T) {
 func TestSnapshotConcurrentIngest(t *testing.T) {
 	g, s1, s2, col := buildUnion(t, ops.TSM, tuple.Internal)
 	spans := obs.New(4096)
-	e, err := New(g, Options{OnDemandETS: true, Shards: 4, Spans: spans})
+	const perStream = 300
+	// The punctuation below promises bounds up to perStream µs: a clock
+	// starting past them keeps every lag sample non-negative however fast
+	// the engine delivers them.
+	start := time.Now()
+	now := func() tuple.Time { return perStream + tuple.FromDuration(time.Since(start)) }
+	e, err := New(g, Options{OnDemandETS: true, Shards: 4, Spans: spans, Now: now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +95,6 @@ func TestSnapshotConcurrentIngest(t *testing.T) {
 	}
 	e.Start()
 
-	const perStream = 300
 	var wg sync.WaitGroup
 	for _, src := range []*ops.Source{s1, s2} {
 		wg.Add(1)

@@ -132,8 +132,8 @@ func (m *Magazine) GetData(ts Time, n int) *Tuple {
 		return asData(m.Get(), ts, n)
 	}
 	// Grow rounds the capacity up to the allocator's size class and the slab
-	// takes all of it: 64 six-value arrays are 15 KiB of a 16 KiB block,
-	// which holds 68.
+	// takes all of it: 64 six-value arrays are 12 KiB, itself a size class,
+	// so the block holds exactly 64; other arities may get a few more.
 	if len(m.tuples) == 0 {
 		m.tuples = slices.Grow([]Tuple(nil), MagazineSize)
 		m.tuples = m.tuples[:cap(m.tuples)]

@@ -62,13 +62,15 @@ func ParseValueKind(s string) (ValueKind, error) {
 	}
 }
 
-// Value is a compact tagged union holding one attribute value. The zero
-// Value is Null. Values are comparable with Compare and Equal; the engine
-// never compares values of different kinds except against Null.
+// Value is a compact tagged union holding one attribute value, 32 bytes on
+// a 64-bit machine. The zero Value is Null. Values are comparable with
+// Compare and Equal; the engine never compares values of different kinds
+// except against Null. Go's == compares a float by its bits, so Float(-0)
+// and Float(+0) differ under == (but are Equal), and a NaN is == to a NaN
+// of the same bits.
 type Value struct {
 	kind ValueKind
-	i    int64 // IntKind, BoolKind (0/1), TimeKind
-	f    float64
+	i    int64 // IntKind, BoolKind (0/1), TimeKind; FloatKind's IEEE bits
 	s    string
 }
 
@@ -76,7 +78,7 @@ type Value struct {
 func Int(v int64) Value { return Value{kind: IntKind, i: v} }
 
 // Float returns a float Value.
-func Float(v float64) Value { return Value{kind: FloatKind, f: v} }
+func Float(v float64) Value { return Value{kind: FloatKind, i: int64(math.Float64bits(v))} }
 
 // String_ returns a string Value. (Named with a trailing underscore because
 // Value already has a String() method satisfying fmt.Stringer.)
@@ -113,7 +115,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case FloatKind:
-		return v.f
+		return math.Float64frombits(uint64(v.i))
 	case IntKind, TimeKind:
 		return float64(v.i)
 	default:
@@ -163,6 +165,9 @@ func (v Value) isNumeric() bool {
 // Int(2^53+1) and Int(2^53) both equal Float(2^53) but not each other. A sort
 // or equality grouping over keys that mix ints and floats of that size may
 // therefore order or group them inconsistently; keys of one kind are exact.
+// A NaN compares equal to every float, so Equal holds between Float(NaN) and
+// Float(1) although no hash can follow it: Hash is consistent with Equal
+// everywhere except for NaN.
 func (v Value) Compare(o Value) int {
 	if v.isNumeric() && o.isNumeric() {
 		if v.kind != FloatKind && o.kind != FloatKind {
@@ -219,48 +224,44 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// FNV-1a constants for Hash.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnvWord(h uint64, w uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(w>>(8*i)))
-	}
-	return h
-}
-
 // Hash returns a 64-bit hash of v, consistent with Equal: values that compare
-// equal hash equally. Numeric kinds (int, float, time) are equal by numeric
-// value, so they hash through their float64 widening (with -0 normalized to
-// +0); the hash partitioner relies on this so that an int key on one join
-// input co-locates with a float key on the other.
+// equal hash equally, NaN excepted (see Compare). Numeric kinds (int, float,
+// time) are equal by numeric value, so they hash through their float64
+// widening, with -0 normalized to +0; the hash partitioner relies on this so
+// that an int key on one join input co-locates with a float key on the other.
+// The widening is also how Compare meets an int with a float, so ints past
+// 2^53 stay consistent: Int(2^53+1) hashes like the Float(2^53) it equals.
+// Each hash ends in one splitmix64 finalizer, whose low bits are as good as
+// its high ones (Split routes on hash % buckets).
 func (v Value) Hash() uint64 {
-	h := fnvOffset64
 	switch {
 	case v.isNumeric():
 		f := v.AsFloat()
 		if f == 0 {
 			f = 0 // normalize -0.0: it compares equal to +0.0
 		}
-		h = fnvByte(h, 1)
-		h = fnvWord(h, math.Float64bits(f))
+		return mix64(math.Float64bits(f))
 	case v.kind == StringKind:
-		h = fnvByte(h, 2)
+		h := uint64(14695981039346656037) // FNV-1a
 		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+			h = (h ^ uint64(v.s[i])) * 1099511628211
 		}
-	case v.kind == BoolKind:
-		h = fnvByte(h, 3)
-		h = fnvByte(h, byte(v.i))
-	default: // Null
-		h = fnvByte(h, 0)
+		return mix64(h)
+	default:
+		// Null and bool hash their kind tag and payload, complemented so
+		// that Null does not share numeric zero's hash.
+		return mix64(^(uint64(v.kind)<<56 | uint64(v.i)))
 	}
-	return h
+}
+
+// mix64 is splitmix64's finalizer: a bijection on uint64 whose every output
+// bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // String renders v for debugging and CSV output.
@@ -271,7 +272,7 @@ func (v Value) String() string {
 	case IntKind:
 		return strconv.FormatInt(v.i, 10)
 	case FloatKind:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case StringKind:
 		return v.s
 	case BoolKind:

@@ -16,7 +16,9 @@ import (
 //
 // Keys match when Value.Equal says so (Int(1), Float(1) and TimeVal(1) are
 // one key, as for the nested-loop join and the hash partitioner); buckets
-// are chosen from Value.Hash, which is consistent with Equal.
+// are chosen from Value.Hash, which is consistent with Equal. The symmetric
+// join drives a pair of stores through ProbeInsert, which hashes each
+// arriving key once for the probe of one store and the insert into the other.
 type HashStore struct {
 	spec   Spec
 	keyCol int
@@ -69,22 +71,34 @@ func (w *HashStore) Inserted() uint64 { return w.inserted }
 // Expired reports the total number of tuples ever expired.
 func (w *HashStore) Expired() uint64 { return w.expired }
 
-// bucketOf maps a key hash to its bucket. The multiply folds every bit of
-// the hash into the top ones: FNV's low bits alone spread small integer keys
-// (whose float64 images differ only in their top bytes) poorly.
+// bucketOf maps a key hash to its bucket: Value.Hash ends in a full
+// avalanche, so its top bits index the table directly.
 func (w *HashStore) bucketOf(hash uint64) *bucket {
-	return &w.buckets[(hash*0x9E3779B97F4A7C15)>>w.shift]
+	return &w.buckets[hash>>w.shift]
 }
 
 // Insert adds t and applies the window bounds, exactly like Store.Insert.
-func (w *HashStore) Insert(t *tuple.Tuple) {
+func (w *HashStore) Insert(t *tuple.Tuple) { w.insert(t, t.Vals[w.keyCol].Hash()) }
+
+// ProbeInsert is one step of the symmetric hash join: it calls fn for every
+// live tuple of w whose key equals t's key in own's key column, in insertion
+// order, and then inserts t into own. The key is hashed once for both.
+func (w *HashStore) ProbeInsert(t *tuple.Tuple, own *HashStore, fn func(*tuple.Tuple)) {
+	key := t.Vals[own.keyCol]
+	hash := key.Hash()
+	w.probe(key, hash, fn)
+	own.insert(t, hash)
+}
+
+// insert is Insert with t's key hash already computed.
+func (w *HashStore) insert(t *tuple.Tuple, hash uint64) {
 	if t.IsPunct() {
 		panic("window: Insert(punctuation)")
 	}
 	if w.n == len(w.slots) {
 		w.grow()
 	}
-	w.link(int32((w.head+w.n)&(len(w.slots)-1)), t, t.Vals[w.keyCol].Hash())
+	w.link(int32((w.head+w.n)&(len(w.slots)-1)), t, hash)
 	w.n++
 	w.inserted++
 	w.ExpireTo(t.Ts)
@@ -182,11 +196,13 @@ func (w *HashStore) holds(i int32, hash uint64, key tuple.Value) bool {
 
 // Probe calls fn for every live tuple whose key column equals key, in
 // insertion order.
-func (w *HashStore) Probe(key tuple.Value, fn func(*tuple.Tuple)) {
+func (w *HashStore) Probe(key tuple.Value, fn func(*tuple.Tuple)) { w.probe(key, key.Hash(), fn) }
+
+// probe is Probe with key's hash already computed.
+func (w *HashStore) probe(key tuple.Value, hash uint64, fn func(*tuple.Tuple)) {
 	if w.n == 0 {
 		return
 	}
-	hash := key.Hash()
 	for i := w.bucketOf(hash).head; i >= 0; i = w.slots[i].next {
 		if w.holds(i, hash, key) {
 			fn(w.slots[i].t)

@@ -299,8 +299,8 @@ func TestHashStoreUnlinksFromMidChain(t *testing.T) {
 	}
 }
 
-// Once the ring has reached the window's size, the join's three calls
-// allocate nothing.
+// Once the ring has reached the window's size, the join's calls (expire,
+// then probe and insert in one) allocate nothing.
 func TestHashStoreSteadyStateAllocatesNothing(t *testing.T) {
 	h := NewHashStore(TimeWindow(100), 0)
 	in := make([]*tuple.Tuple, 512)
@@ -313,8 +313,7 @@ func TestHashStoreSteadyStateAllocatesNothing(t *testing.T) {
 		tp := in[i%len(in)]
 		tp.Ts = tuple.Time(i)
 		h.ExpireTo(tp.Ts)
-		h.Probe(tp.Vals[0], count)
-		h.Insert(tp)
+		h.ProbeInsert(tp, h, count)
 		i++
 	}
 	for i < 400 { // fill the window and let the ring wrap
@@ -331,8 +330,9 @@ func TestHashStoreSteadyStateAllocatesNothing(t *testing.T) {
 // BenchmarkHashStoreSteadyState drives two HashStores the way the hash join
 // does on the benchmark's join_dense workload: a 20 ms span with one tuple
 // per side every 20 µs (about 1000 live tuples a side), keys drawn over 1024,
-// and per tuple an expire and a probe of the opposite side and an insert into
-// the own side. The tuples are built before the clock starts.
+// and per tuple an expire of the opposite side and one ProbeInsert: a probe
+// of the opposite side and an insert into the own side under one key hash.
+// The tuples are built before the clock starts.
 func BenchmarkHashStoreSteadyState(b *testing.B) {
 	const span, step, keys = 20000, 20, 1024
 	win := [2]*HashStore{NewHashStore(TimeWindow(span), 0), NewHashStore(TimeWindow(span), 0)}
@@ -348,8 +348,7 @@ func BenchmarkHashStoreSteadyState(b *testing.B) {
 		t, side := in[i%len(in)], i&1
 		t.Ts = tuple.Time(i / 2 * step)
 		win[1-side].ExpireTo(t.Ts)
-		win[1-side].Probe(t.Vals[0], count)
-		win[side].Insert(t)
+		win[1-side].ProbeInsert(t, win[side], count)
 	}
 	warm := 4 * span / step // both windows full and wrapped
 	for i := 0; i < warm; i++ {
