@@ -17,11 +17,14 @@
 //
 // # When a buffered tuple is written
 //
-// Send buffers tuples per stream and writes them as TUPLES frames, and it
-// follows the runtime's rule for arc batches: batching must not bring back
-// the latency on-demand ETS removes, so a tuple never waits for its frame
-// to fill or for a heartbeat. Options.BatchSize is a cap on the frame, not
-// a count to wait for. A pending batch is written when
+// Send encodes each tuple into its stream's pending frame and returns the
+// tuple to the pool at once, so a pending frame is encoded bytes, not
+// tuples, and a producer that draws its tuples from the pool gets the same
+// one back on its next tuple.Get. Frames are written as TUPLES (or TUPLE)
+// frames under the runtime's rule for arc batches: batching must not bring
+// back the latency on-demand ETS removes, so a tuple never waits for its
+// frame to fill or for a heartbeat. Options.BatchSize is a cap on the frame,
+// not a count to wait for. A pending frame is written when
 //
 //   - the link is idle: a tuple that finds nothing written for idleGap is
 //     written through on the caller's thread;
@@ -29,7 +32,7 @@
 //   - a Punct, CloseSend or Flush on the stream, or Close on the
 //     connection, comes after it: buffered tuples always reach the wire
 //     before the frame that follows them;
-//   - the connection's flusher goroutine, kicked when the batch turned
+//   - the connection's flusher goroutine, kicked when the frame turned
 //     non-empty behind a busy link, gets the connection: it writes whatever
 //     has coalesced by then.
 //
@@ -44,7 +47,7 @@
 // Options.Sequenced the resend is idempotent: every tuple carries a
 // per-stream sequence number, the server suppresses anything at or below
 // its last-applied watermark, and the BIND_ACK watermark lets the client
-// trim its retained batch — so reconnect and crash-recovery replay become
+// trim its retained frame — so reconnect and crash-recovery replay become
 // effectively exactly-once for everything the client still holds. Tuples
 // the client already released (flushed before the failure) that the server
 // nevertheless lost — e.g. a crash past the last checkpoint cut — must be
@@ -110,10 +113,10 @@ type Options struct {
 	// the legacy format.
 	Trace bool
 	// Sequenced offers the tuple-sequencing capability in HELLO: every data
-	// tuple carries a per-stream sequence number, making retained-batch
+	// tuple carries a per-stream sequence number, making retained-frame
 	// resend after reconnect — and replay against a crash-restored server —
 	// idempotent (see wire.CapSeq). The BIND_ACK watermark trims the
-	// retained batch and floors the counter; Stream.AckedSeq exposes it as
+	// retained frame and floors the counter; Stream.AckedSeq exposes it as
 	// the application's replay resume point.
 	Sequenced bool
 	// Reconnect enables automatic redial with exponential backoff after a
@@ -540,15 +543,15 @@ func (c *Conn) flushLoop() {
 	}
 }
 
-// flushPendingLocked writes every pending batch, redialing first if the
+// flushPendingLocked writes every pending frame, redialing first if the
 // transport is down.
 func (c *Conn) flushPendingLocked() {
 	for _, s := range c.streams {
-		if len(s.batch) == 0 || s.err != nil {
+		if len(s.ends) == 0 || s.err != nil {
 			continue // nothing pending, or no binding left to send it to
 		}
 		if c.ensureLocked() != nil {
-			return // closed, or lost for good: the batches stay where they are
+			return // closed, or lost for good: the frames stay where they are
 		}
 		s.flushLocked() // a failure kicks this loop again through markBrokenLocked
 	}

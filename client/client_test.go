@@ -3,6 +3,7 @@ package client_test
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ type gateBackend struct {
 
 	mu     sync.Mutex
 	data   []tuple.Time
+	vals   [][]tuple.Value // each data tuple's values, beside data
 	punct  []tuple.Time
 	closed bool
 }
@@ -42,6 +44,7 @@ func (b *gateBackend) Ingest(t *tuple.Tuple) {
 		b.punct = append(b.punct, t.Ts)
 	} else {
 		b.data = append(b.data, t.Ts)
+		b.vals = append(b.vals, slices.Clone(t.Vals))
 	}
 }
 

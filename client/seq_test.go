@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -188,5 +189,69 @@ func TestClientSequencedResendTrim(t *testing.T) {
 	}
 	if got, _, _ := back1.counts(); got != 0 {
 		t.Fatalf("the first server ingested %d tuples through a transport whose writes fail", got)
+	}
+}
+
+// TestClientSequencedResendTrimPartial covers a retained frame the re-bind
+// watermark only partly covers: of seqs 1..5, a server restored at 3 has
+// applied 1..3, so the client cuts those three tuples' bytes off the front
+// of its encoded frame and resends 4 and 5 alone, values intact, as a frame
+// whose first seq is 4 — nothing left for the server to suppress.
+func TestClientSequencedResendTrimPartial(t *testing.T) {
+	back1 := &gateBackend{sch: extSchema()}
+	srv1, err := server.Listen("127.0.0.1:0", server.Options{Backend: back1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv1.Close()
+	d := &flakyDialer{addr: srv1.Addr().String()}
+	c, err := client.Dial(d.addr, client.Options{
+		Sequenced:      true,
+		Reconnect:      true,
+		HeartbeatEvery: -1,
+		Dial:           d.dial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Bind("sensors", tuple.External, client.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	back2 := &gateBackend{sch: extSchema()}
+	srv2, err := server.Listen("127.0.0.1:0", server.Options{
+		Backend:    back2,
+		InitialSeq: map[string]uint64{"sensors": 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	d.set(srv2.Addr().String(), false)
+	d.last().fail.Store(failLost)
+	if err := s.SendBatch([]*tuple.Tuple{data(1), data(2), data(3), data(4), data(5)}); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "resend of the untrimmed rest", func() bool { d, _, _ := back2.counts(); return d == 2 })
+	// A fresh tuple takes seq 6, above the watermark the resend left (5).
+	if err := s.Send(data(6)); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "post-resend send", func() bool { d, _, _ := back2.counts(); return d == 3 })
+	time.Sleep(50 * time.Millisecond) // give any wrongly-resent tuples time to land
+	back2.mu.Lock()
+	gotTs, gotVals := slices.Clone(back2.data), slices.Clone(back2.vals)
+	back2.mu.Unlock()
+	if want := []tuple.Time{4, 5, 6}; !slices.Equal(gotTs, want) {
+		t.Fatalf("restored server ingested ts %v, want %v", gotTs, want)
+	}
+	for i, v := range gotVals {
+		if want := data(int(gotTs[i])).Vals; !slices.Equal(v, want) {
+			t.Fatalf("tuple %d arrived with values %v, want %v", gotTs[i], v, want)
+		}
+	}
+	if n := srv2.Registry().Counter("sm_net_tuples_deduped_total").Load(); n != 0 {
+		t.Fatalf("the restored server suppressed %d resent tuples: the client did not trim them", n)
 	}
 }

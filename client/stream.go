@@ -34,7 +34,12 @@ type Stream struct {
 	opts StreamOptions
 
 	// All fields below are guarded by c.mu.
-	batch      []*tuple.Tuple
+	//
+	// The pending frame is encoded bytes: body holds the tuple bodies Send
+	// encoded, back to back, and ends[i] is the offset where tuple i's ends.
+	body       []byte
+	ends       []int32
+	frame      wire.Encoded // what flushLocked writes them as
 	maxTs      tuple.Time
 	hasTs      bool
 	sincePunct int
@@ -42,9 +47,10 @@ type Stream struct {
 	err        error
 
 	// seq is the last sequence number assigned (Options.Sequenced): tuples
-	// are numbered seq+1, seq+2, … as Send buffers them, and a BIND_ACK
-	// watermark floors it so post-recovery sends never collide with
-	// sequence numbers the server already applied.
+	// are numbered seq+1, seq+2, … as Send buffers them, so the pending
+	// frame holds seq-len(ends)+1 … seq. A BIND_ACK watermark floors it so
+	// post-recovery sends never collide with sequence numbers the server
+	// already applied.
 	seq uint64
 	// acked is the last BIND_ACK dedupe watermark the server reported —
 	// the application's replay resume point after a server crash.
@@ -97,23 +103,26 @@ func (c *Conn) Bind(stream string, ts tuple.TSKind, opts StreamOptions) (*Stream
 	return s, nil
 }
 
-// Send hands one tuple to the stream, taking ownership of it. The tuple is
-// written at once when the link is idle and otherwise joins the stream's
-// pending batch, which the package comment's flush triggers bound. Send
-// blocks while the server's credit window is exhausted — the networked form
-// of engine backpressure — and while a broken connection reconnects. A
-// transport failure after buffering is not an error: the batch is retained
-// and resent on the next transport.
+// Send hands one tuple to the stream, taking ownership of it: Send encodes
+// it into the stream's pending frame and returns it to the tuple pool before
+// returning, so the caller's next tuple.Get gets it back. The frame is
+// written at once when the link is idle, and otherwise the package comment's
+// flush triggers bound its wait. Send blocks while the server's credit
+// window is exhausted — the networked form of engine backpressure — and
+// while a broken connection reconnects. A transport failure after buffering
+// is not an error: the encoded frame is retained and resent on the next
+// transport.
 func (s *Stream) Send(t *tuple.Tuple) error {
 	one := [1]*tuple.Tuple{t}
 	return s.SendBatch(one[:])
 }
 
-// SendBatch sends a slice of tuples (ownership of the tuples transfers; the
-// slice stays the caller's). It takes the connection lock and credits once
-// per chunk, a chunk being what fits under the frame cap, before the next
-// automatic punctuation and in the free credit window, so a batch larger
-// than the window drains through it.
+// SendBatch sends a slice of tuples (ownership of the tuples transfers, and
+// each goes back to the pool once encoded, as in Send; the slice stays the
+// caller's). It takes the connection lock and credits once per chunk, a
+// chunk being what fits under the frame cap, before the next automatic
+// punctuation and in the free credit window, so a batch larger than the
+// window drains through it.
 func (s *Stream) SendBatch(ts []*tuple.Tuple) error {
 	c := s.c
 	c.mu.Lock()
@@ -125,26 +134,27 @@ func (s *Stream) SendBatch(ts []*tuple.Tuple) error {
 		if s.eos {
 			return fmt.Errorf("client: send on closed stream %q", s.name)
 		}
-		room := c.opts.BatchSize - len(s.batch)
+		room := c.opts.BatchSize - len(s.ends)
 		if every := s.opts.AutoPunctEvery; every > 0 {
 			room = min(room, every-s.sincePunct)
 		}
-		// A batch retained past the cap by a failed write still takes one.
+		// A frame retained past the cap by a failed write still takes one.
 		n, err := c.takeCredits(1, min(max(room, 1), len(ts)))
 		if err != nil {
 			return err
 		}
-		wasEmpty := len(s.batch) == 0
+		wasEmpty := len(s.ends) == 0
 		for _, t := range ts[:n] {
-			if c.opts.Sequenced {
-				s.seq++
-				t.Seq = s.seq
-			}
 			if !s.hasTs || t.Ts > s.maxTs {
 				s.maxTs, s.hasTs = t.Ts, true
 			}
+			s.body = wire.AppendTuple(s.body, t)
+			s.ends = append(s.ends, int32(len(s.body)))
+			tuple.Put(t)
 		}
-		s.batch = append(s.batch, ts[:n]...)
+		if c.opts.Sequenced {
+			s.seq += uint64(n)
+		}
 		s.sincePunct += n
 		ts = ts[n:]
 		s.queuedLocked(wasEmpty)
@@ -154,11 +164,11 @@ func (s *Stream) SendBatch(ts []*tuple.Tuple) error {
 }
 
 // queuedLocked applies the sender's flush triggers after tuples joined the
-// pending batch: the size cap, and write-through on an idle link. A batch
+// pending frame: the size cap, and write-through on an idle link. A frame
 // that begins to coalesce instead is the flusher's to write.
 func (s *Stream) queuedLocked(wasEmpty bool) {
 	c := s.c
-	if len(s.batch) >= c.opts.BatchSize {
+	if len(s.ends) >= c.opts.BatchSize {
 		s.flushLocked()
 		return
 	}
@@ -220,36 +230,30 @@ func (s *Stream) punctLocked(ets tuple.Time) error {
 	return nil
 }
 
-// flushLocked writes the pending batch as one TUPLES frame. On success the
-// tuples return to the pool (Send took ownership); on a transport failure
-// the batch is retained for the next epoch.
+// flushLocked writes the pending frame, the tuple bodies Send encoded, as
+// one TUPLE or TUPLES frame. The tuples themselves went back to the pool
+// when they were encoded. On a transport failure the bytes are retained for
+// the next epoch.
 func (s *Stream) flushLocked() error {
 	c := s.c
-	if len(s.batch) == 0 {
+	n := len(s.ends)
+	if n == 0 {
 		return nil
 	}
-	var f wire.Frame
-	// The frame carries the first tuple's sequence number when the server
-	// negotiated sequencing (the batch is contiguous: seq..seq+n-1).
-	var seq uint64
+	// A pointer to the stream's frame goes into the Frame interface without
+	// an allocation, where a frame value would be boxed on the heap.
+	f := &s.frame
+	*f = wire.Encoded{ID: s.id, N: n, Body: s.body}
 	if c.seqOK {
-		seq = s.batch[0].Seq
-	}
-	if len(s.batch) == 1 {
-		f = wire.Tuple{ID: s.id, T: s.batch[0], Seq: seq}
-	} else {
-		f = wire.Tuples{ID: s.id, Batch: s.batch, Seq: seq}
+		// The first tuple's sequence number: the frame is contiguous.
+		f.Seq = s.seq - uint64(n) + 1
 	}
 	if err := c.writeLocked(f); err != nil {
 		return err
 	}
 	c.stats.BatchesSent++
-	c.stats.TuplesSent += uint64(len(s.batch))
-	for i, t := range s.batch {
-		tuple.Put(t)
-		s.batch[i] = nil
-	}
-	s.batch = s.batch[:0]
+	c.stats.TuplesSent += uint64(n)
+	s.body, s.ends = s.body[:0], s.ends[:0]
 	return nil
 }
 
@@ -277,7 +281,7 @@ func (s *Stream) CloseSend() error {
 }
 
 // applyAckSeq adopts the server's dedupe watermark from a BIND_ACK (0 =
-// sequencing not in use): the retained batch drops everything the server
+// sequencing not in use): the retained frame drops the prefix the server
 // already applied, and the sequence counter jumps forward so new tuples
 // never collide with applied sequence numbers. Called with c.mu held.
 func (s *Stream) applyAckSeq(w uint64) {
@@ -285,21 +289,26 @@ func (s *Stream) applyAckSeq(w uint64) {
 		return
 	}
 	s.acked = w
-	if w > s.seq {
-		s.seq = w
-	}
-	kept := s.batch[:0]
-	for _, t := range s.batch {
-		if t.Seq != 0 && t.Seq <= w {
-			tuple.Put(t)
-			continue
+	if s.c.opts.Sequenced {
+		// The retained tuples are numbered before+1 … s.seq.
+		if before := s.seq - uint64(len(s.ends)); w > before {
+			s.trimLocked(int(min(w-before, uint64(len(s.ends)))))
 		}
-		kept = append(kept, t)
 	}
-	for i := len(kept); i < len(s.batch); i++ {
-		s.batch[i] = nil
+	s.seq = max(s.seq, w)
+}
+
+// trimLocked drops the pending frame's first k tuples.
+func (s *Stream) trimLocked(k int) {
+	if k == 0 {
+		return
 	}
-	s.batch = kept
+	cut := s.ends[k-1]
+	s.body = s.body[:copy(s.body, s.body[cut:])]
+	s.ends = s.ends[:copy(s.ends, s.ends[k:])]
+	for i := range s.ends {
+		s.ends[i] -= cut
+	}
 }
 
 // AckedSeq reports the last dedupe watermark the server sent in a BIND_ACK

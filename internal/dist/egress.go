@@ -139,13 +139,13 @@ func (e *Egress) Exec(ctx *ops.Ctx) bool {
 		e.puncts++
 		e.mu.Unlock()
 	default:
-		// The sender takes ownership and recycles after the wire flush, but
-		// this operator does not own t exclusively — on a fan-out graph the
-		// same pointer rides sibling arcs (possibly into another egress).
-		// Ship a pooled copy; the original is the collector's.
+		// Send takes ownership: it encodes the tuple and returns it to the
+		// pool at once, which clears it. This operator does not own t
+		// exclusively — on a fan-out graph the same pointer rides sibling
+		// arcs (possibly into another egress) — so ship a pooled copy; the
+		// original is the collector's.
 		cp := tuple.GetData(t.Ts, len(t.Vals))
 		copy(cp.Vals, t.Vals)
-		cp.Seq = t.Seq
 		e.fail(box.s.Send(cp))
 		e.mu.Lock()
 		e.sent++

@@ -36,7 +36,12 @@ type Ctx struct {
 	// splitter of a partitioned subgraph — use it to send a tuple to one
 	// shard instead of broadcasting; both engines provide it.
 	EmitTo func(i int, t *tuple.Tuple)
-	// Now returns the current virtual time.
+	// Now returns the current virtual time. The concurrent runtime reads its
+	// clock at most once per wake of the node and once per BatchSize
+	// execution steps and returns that reading in between, so consecutive
+	// calls may return the same value, one that trails the engine clock by
+	// at most a batch of steps. It is never ahead of the engine clock, and
+	// it is monotone when that clock is.
 	Now func() tuple.Time
 	// OnBarrier, when non-nil, is invoked by the operator the moment a
 	// checkpoint barrier (a punctuation with Ckpt != 0) has fully applied

@@ -315,3 +315,53 @@ func TestCheckpointUnderSaturatedIngest(t *testing.T) {
 		}
 	}
 }
+
+// A sink shares one clock reading per batch, as a take does at the source:
+// with the inlet taken whole, the sink side reads the engine clock at most
+// once per BatchSize callbacks plus once per wake, not once per tuple. Every
+// reading a callback sees is non-decreasing and not ahead of the clock.
+func TestSinkReadsClockPerBatch(t *testing.T) {
+	const tuples = 64000
+	// Every read advances the clock, so each reading is distinct and the
+	// sink's reads are the changes in the now its callback sees.
+	var clock atomic.Int64
+	var rows, reads int
+	last := tuple.MinTime
+	g, src := srcSink(func(_ *tuple.Tuple, now tuple.Time) {
+		rows++
+		if now != last {
+			reads++
+		}
+		if now < last {
+			t.Errorf("row %d: now %d after %d", rows, now, last)
+		}
+		if cur := tuple.Time(clock.Load()); now > cur {
+			t.Errorf("row %d: now %d ahead of the clock at %d", rows, now, cur)
+		}
+		last = now
+	})
+	e, err := New(g, Options{Now: func() tuple.Time { return tuple.Time(clock.Add(1)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*tuple.Tuple, tuples)
+	for i := range batch {
+		batch[i] = tuple.NewData(tuple.Time(i), tuple.Int(int64(i)))
+	}
+	e.IngestBatch(src, batch) // admitted whole before Start: one take
+	e.Start()
+	e.CloseStream(src)
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if rows != tuples {
+		t.Fatalf("delivered %d rows, want %d", rows, tuples)
+	}
+	// The only arc ends at the sink, and the sink wakes at most once per
+	// batch delivered to it, plus its first pass.
+	wakes := int(e.BatchesSent()) + 1
+	if limit := tuples/DefaultBatchSize + wakes; reads > limit {
+		t.Fatalf("sink read the clock %d times for %d rows, want ≤ %d (%d wakes)", reads, tuples, limit, wakes)
+	}
+	t.Logf("%d sink clock reads for %d rows in %d batches", reads, tuples, e.BatchesSent())
+}

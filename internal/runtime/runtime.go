@@ -737,6 +737,37 @@ func (e *Engine) emitTo(n *node, i int, t *tuple.Tuple) {
 	}
 }
 
+// stepClock is a node's ops.Ctx.Now. It reads the engine clock lazily, at
+// most once per wake of the node loop and once per `every` operator steps,
+// and returns that reading in between: a sink delivering a batch, or a
+// latent join stamping one, shares one instant the way a source's take
+// does, instead of reading the clock per tuple. A reading is never ahead of
+// the engine clock, and a monotone engine clock gives monotone readings.
+// Goroutine-owned.
+type stepClock struct {
+	now   func() tuple.Time
+	every int
+	t     tuple.Time
+	left  int // steps the reading in t stays valid for; 0 once expired
+}
+
+func (c *stepClock) read() tuple.Time {
+	if c.left == 0 {
+		c.t, c.left = c.now(), c.every
+	}
+	return c.t
+}
+
+// step counts one operator step against the reading.
+func (c *stepClock) step() {
+	if c.left > 0 {
+		c.left--
+	}
+}
+
+// expire makes the next read take a fresh reading: the node woke up.
+func (c *stepClock) expire() { c.left = 0 }
+
 // runNode is the per-operator scheduling loop. It is (re)entered by the
 // node's supervisor: a panic anywhere inside is recovered there and the loop
 // restarted, so all state that must survive a restart lives on the node (or
@@ -745,11 +776,12 @@ func (e *Engine) runNode(n *node) {
 	op := n.gn.Op
 	src := n.gn.Source()
 
+	clk := &stepClock{now: e.now, every: e.batchSize}
 	ctx := &ops.Ctx{
 		Ins:    n.ins,
 		Emit:   func(t *tuple.Tuple) { e.emit(n, t) },
 		EmitTo: func(i int, t *tuple.Tuple) { e.emitTo(n, i, t) },
-		Now:    e.now,
+		Now:    clk.read,
 	}
 	ctx.OnBarrier = func(id uint64, bound tuple.Time) { e.onBarrier(n, id, bound) }
 	var bell chan struct{} // nil for interior nodes: that select case never fires
@@ -821,6 +853,7 @@ func (e *Engine) runNode(n *node) {
 		// Chaos probe: a clean failure point where the operator's state is
 		// consistent, so injected panics exercise the supervisor.
 		e.fault.MaybePanic(n.name)
+		clk.expire()
 		// Drain pending input without blocking: a source takes its whole
 		// inlet, an interior node empties its channel. With a queue bound
 		// and the backpressure policy, a node over its bound stops draining
@@ -848,6 +881,7 @@ func (e *Engine) runNode(n *node) {
 		for op.More(ctx) {
 			n.punctBoundary = false
 			op.Exec(ctx)
+			clk.step()
 			ran = true
 			// Apply-at-punctuation: this step ended on an emitted bound,
 			// everything emitted is flushed and bounded — a quiescent

@@ -29,6 +29,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		BindAck{ID: 1, Err: "no"},
 		Tuple{ID: 1, T: tuple.NewData(10, tuple.Int(1), tuple.String_("x"))},
 		Tuples{ID: 1, Batch: []*tuple.Tuple{tuple.NewData(1, tuple.Float(2.5))}},
+		Encoded{ID: 2, N: 2, Seq: 9, Body: AppendTuple(
+			AppendTuple(nil, tuple.NewData(3, tuple.TimeVal(4), tuple.Bool(true))),
+			tuple.NewData(5, tuple.Int(-1), tuple.Value{}))},
 		Punct{ID: 1, TS: tuple.Internal, ETS: 123},
 		Heartbeat{Clock: -5},
 		Demand{ID: 0, Credits: 10},

@@ -251,6 +251,23 @@ type Tuples struct {
 	Seq uint64
 }
 
+// Encoded carries tuple bodies encoded in advance with AppendTuple: a TUPLE
+// frame when N is 1 and a TUPLES frame otherwise, byte for byte what Tuple
+// or Tuples writes for the same tuples. A sender that encodes each tuple as
+// it arrives can recycle the tuple at once instead of holding it until the
+// frame is written. It is an encoding-side frame: decoding yields Tuple or
+// Tuples.
+type Encoded struct {
+	// ID is the bound stream id.
+	ID uint32
+	// N is the number of tuple bodies in Body.
+	N int
+	// Body holds the N tuple bodies back to back, in send order.
+	Body []byte
+	// Seq is the sequence number of the first tuple, as in Tuples.Seq.
+	Seq uint64
+}
+
 // Punct carries an enabling timestamp: a promise that no future tuple on
 // this stream will carry a timestamp below ETS.
 type Punct struct {
@@ -341,6 +358,14 @@ func (Tuple) Type() FrameType { return TypeTuple }
 
 // Type reports TypeTuples.
 func (Tuples) Type() FrameType { return TypeTuples }
+
+// Type reports TypeTuple for one tuple body and TypeTuples otherwise.
+func (f Encoded) Type() FrameType {
+	if f.N == 1 {
+		return TypeTuple
+	}
+	return TypeTuples
+}
 
 // Type reports TypePunct.
 func (Punct) Type() FrameType { return TypePunct }
@@ -534,8 +559,9 @@ func (d *decoder) value() tuple.Value {
 	}
 }
 
-// appendTuple encodes a data tuple body: timestamp then values.
-func appendTuple(b []byte, t *tuple.Tuple) []byte {
+// AppendTuple appends a data tuple's body, its timestamp then its values, as
+// TUPLE and TUPLES frames carry it; Encoded frames are built from these.
+func AppendTuple(b []byte, t *tuple.Tuple) []byte {
 	b = putI64(b, int64(t.Ts))
 	b = putUvarint(b, uint64(len(t.Vals)))
 	for _, v := range t.Vals {
@@ -582,6 +608,26 @@ func (d *decoder) tuple(mag *tuple.Magazine) *tuple.Tuple {
 		t.Vals = slices.Grow(t.Vals, int(n))[:n]
 	}
 	for i := range t.Vals {
+		// A fixed-width value, a tag and 8 bytes, takes one bounds check.
+		// Every other kind, and a payload too short for one, goes through
+		// value's checked reads, which report truncation and unknown kinds.
+		if p := d.b[d.off:]; len(p) >= 9 {
+			u := binary.LittleEndian.Uint64(p[1:9])
+			switch tuple.ValueKind(p[0]) {
+			case tuple.IntKind:
+				t.Vals[i] = tuple.Int(int64(u))
+				d.off += 9
+				continue
+			case tuple.FloatKind:
+				t.Vals[i] = tuple.Float(math.Float64frombits(u))
+				d.off += 9
+				continue
+			case tuple.TimeKind:
+				t.Vals[i] = tuple.TimeVal(tuple.Time(u))
+				d.off += 9
+				continue
+			}
+		}
 		t.Vals[i] = d.value()
 	}
 	if d.err != nil {
@@ -643,21 +689,32 @@ func (f BindAck) encode(b []byte) []byte {
 
 func (f Tuple) encode(b []byte) []byte {
 	b = putU32(b, f.ID)
-	b = appendTuple(b, f.T)
-	if f.Seq != 0 {
-		b = putU64(b, f.Seq)
-	}
-	return b
+	b = AppendTuple(b, f.T)
+	return putSeq(b, f.Seq)
 }
 
 func (f Tuples) encode(b []byte) []byte {
 	b = putU32(b, f.ID)
 	b = putUvarint(b, uint64(len(f.Batch)))
 	for _, t := range f.Batch {
-		b = appendTuple(b, t)
+		b = AppendTuple(b, t)
 	}
-	if f.Seq != 0 {
-		b = putU64(b, f.Seq)
+	return putSeq(b, f.Seq)
+}
+
+func (f Encoded) encode(b []byte) []byte {
+	b = putU32(b, f.ID)
+	if f.N != 1 {
+		b = putUvarint(b, uint64(f.N))
+	}
+	b = append(b, f.Body...)
+	return putSeq(b, f.Seq)
+}
+
+// putSeq appends a data frame's optional trailing sequence number.
+func putSeq(b []byte, seq uint64) []byte {
+	if seq != 0 {
+		b = putU64(b, seq)
 	}
 	return b
 }

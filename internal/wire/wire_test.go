@@ -362,3 +362,59 @@ func TestHelloAckFlagsCompat(t *testing.T) {
 		t.Fatalf("flags lost: %+v", ack)
 	}
 }
+
+// TestEncodedMatchesTupleFrames pins the pre-encoded frame to the wire
+// format: for the same tuples, Encoded puts on the wire exactly the bytes
+// Tuple (one tuple) or Tuples (more) does, header and type byte included,
+// with and without a sequence number, over every value kind.
+func TestEncodedMatchesTupleFrames(t *testing.T) {
+	vals := []tuple.Value{
+		{}, tuple.Int(-3), tuple.Int(math.MaxInt64), tuple.Float(0), tuple.Float(math.Copysign(0, -1)),
+		tuple.Float(math.Float64frombits(0x7ff8_0000_dead_beef)), tuple.Float(math.Inf(-1)),
+		tuple.String_(""), tuple.String_("héllo"), tuple.Bool(true), tuple.Bool(false),
+		tuple.TimeVal(-7), tuple.TimeVal(tuple.MaxTime),
+	}
+	mk := func(n int) []*tuple.Tuple {
+		ts := make([]*tuple.Tuple, n)
+		for i := range ts {
+			// Rotate the kinds through the columns so each appears everywhere.
+			row := make([]tuple.Value, len(vals))
+			for j := range row {
+				row[j] = vals[(i+j)%len(vals)]
+			}
+			ts[i] = tuple.NewData(tuple.Time(i*3-1), row[:1+i%len(vals)]...)
+		}
+		return ts
+	}
+	wireBytes := func(f Frame) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, n := range []int{1, 2, 256} {
+		for _, seq := range []uint64{0, 1, 1 << 40} {
+			ts := mk(n)
+			var body []byte
+			for _, tp := range ts {
+				body = AppendTuple(body, tp)
+			}
+			var want Frame = Tuples{ID: 7, Batch: ts, Seq: seq}
+			if n == 1 {
+				want = Tuple{ID: 7, T: ts[0], Seq: seq}
+			}
+			got := Encoded{ID: 7, N: n, Body: body, Seq: seq}
+			if got.Type() != want.Type() {
+				t.Fatalf("n=%d: Encoded is %v, want %v", n, got.Type(), want.Type())
+			}
+			if g, w := wireBytes(got), wireBytes(want); !bytes.Equal(g, w) {
+				t.Fatalf("n=%d seq=%d: Encoded wrote\n%x\nwant\n%x", n, seq, g, w)
+			}
+		}
+	}
+}
