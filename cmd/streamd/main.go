@@ -314,13 +314,6 @@ func serve(ddl, q string, opts options) error {
 		srv.Close()
 		re.Stop()
 	}()
-	if coord != nil {
-		// Stop cutting checkpoints before streams start closing: a barrier
-		// injected into a source that EOSes first would never come back.
-		coord.Stop()
-		fmt.Fprintf(os.Stderr, "streamd: checkpoints: %d complete, %d failed\n",
-			coord.Completed(), coord.Failed())
-	}
 	if cut := srv.Drain(opts.drainGrace); cut > 0 {
 		fmt.Fprintf(os.Stderr, "streamd: drain: cut %d straggling session(s)\n", cut)
 	}
@@ -330,6 +323,14 @@ func serve(ddl, q string, opts options) error {
 		if _, src, err := e.LookupStream(name); err == nil {
 			re.CloseStream(src)
 		}
+	}
+	if coord != nil {
+		// Stop checkpointing only now: every stream's EOS reaches any cut,
+		// so an attempt in flight ends at once rather than waiting out its
+		// timeout for a quiet source.
+		coord.Stop()
+		fmt.Fprintf(os.Stderr, "streamd: checkpoints: %d complete, %d failed\n",
+			coord.Completed(), coord.Failed())
 	}
 	done := make(chan error, 1)
 	go func() { done <- re.Wait() }()

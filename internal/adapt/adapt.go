@@ -397,11 +397,9 @@ func (c *Controller) tuneShards(g *groupTuner, now time.Time) {
 	lead := c.o.BarrierLead
 	if lead <= 0 {
 		// Default lead: one tick's worth of observed event-time advance,
-		// so the fence sits in the near future of the streams.
+		// so the fence sits in the near future of the streams while the
+		// splitters, which keep routing, are armed one by one.
 		lead = maxTs - g.lastMax
-		if lead < 1 {
-			lead = 1
-		}
 	}
 	g.lastMax = maxTs
 	for _, s := range g.g.Splitters {
@@ -431,7 +429,7 @@ func (c *Controller) tuneShards(g *groupTuner, now time.Time) {
 	if same {
 		return // skewed input, but no better placement exists
 	}
-	barrier := maxTs + lead
+	barrier := ops.FenceAt(maxTs, lead)
 	for _, s := range g.g.Splitters {
 		// Pre-checked pending==nil above and this controller is the only
 		// retarget issuer, so every member accepts the identical table —

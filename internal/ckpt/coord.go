@@ -8,9 +8,12 @@ import (
 )
 
 // Engine is the surface the coordinator drives. The runtime engine
-// implements it: Checkpoint injects a barrier punctuation (tagged with id)
-// at every source, waits until every stateful node has snapshotted at the
-// barrier, and returns the collected segments. The engine does no I/O —
+// implements it: Checkpoint picks a timestamp T above everything the sources
+// have been given, has every source emit a barrier punctuation (tagged with
+// id) at T where its stream reaches T, waits until every node has applied
+// the barrier, and returns the collected segments. An attempt a source
+// refuses — it had already emitted past T — fails, and the next tick retries
+// with a fresh T. The engine does no I/O —
 // persistence is the coordinator's job, so node goroutines only pay the
 // in-memory encode.
 type Engine interface {

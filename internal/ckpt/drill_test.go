@@ -61,9 +61,8 @@ func (c *checksum) sink() *ops.Sink {
 
 // drillEngine builds the checkpointable workload — two external sources
 // feeding a TSM union, optionally a tumbling count aggregate (stateful: open
-// windows), and the given sink — on an engine that is not yet started. On-demand ETS must be on: after a barrier aligns at the union, one
-// input's register is frozen at the barrier bound, and only the demand path
-// (or fresh traffic) advances it (DESIGN.md §14).
+// windows), and the given sink — on an engine that is not yet started, with
+// on-demand ETS on as a deployment runs it.
 func drillEngine(t *testing.T, aggregate bool, sink *ops.Sink) (*runtime.Engine, [2]*ops.Source) {
 	t.Helper()
 	sch := tuple.NewSchema("s", tuple.Field{Name: "v", Kind: tuple.IntKind}).
@@ -106,6 +105,23 @@ func feed(e *runtime.Engine, srcs [2]*ops.Source, from, n int, marks [2]uint64) 
 	}
 }
 
+// waitArmed waits until every source holds an armed cut.
+func waitArmed(t *testing.T, srcs [2]*ops.Source) {
+	t.Helper()
+	deadline := time.Now().Add(drillTimeout)
+	for _, s := range srcs {
+		for {
+			if _, _, ok := s.ArmedCut(); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("source %s never armed a cut", s.Name())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
 func drain(t *testing.T, e *runtime.Engine, srcs [2]*ops.Source) {
 	t.Helper()
 	e.CloseStream(srcs[0])
@@ -122,14 +138,14 @@ func drain(t *testing.T, e *runtime.Engine, srcs [2]*ops.Source) {
 // sink's checksum to equal a clean reference run exactly — no tuple lost,
 // none duplicated.
 //
-// Both cases are deterministic in what they assert. With the aggregate
-// downstream the feeder itself cuts the checkpoints between chunks, so both
-// sources cut at the same sequence number and the union's stash stays empty;
-// under a free-running coordinator the cuts skew, the union's output arc
-// leaves timestamp order (DESIGN.md §14 "Known defect",
-// TestCheckpointUnderTrafficKeepsArcOrder) and an aggregate would late-drop
-// the replayed stash. The multiset survives skewed cuts, which the second
-// case holds to: union → sink under a concurrent 10ms coordinator.
+// Each case is deterministic in what it asserts. A checkpoint cuts both
+// sources at one timestamp T, just above everything they have been given, and
+// the union aligns the two barriers by τ-order, so its output arc stays in
+// timestamp order and the aggregate downstream sees no late tuple however
+// the coordinator's ticks fall against the feed. The feeder-cut case arms a
+// cut between chunks — the next chunk's first tuple reaches it, so both
+// sources cut at the same sequence number — and the concurrent cases run a
+// free 10ms coordinator mid-feed, with and without the aggregate.
 func TestKillRestoreVerify(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -137,6 +153,7 @@ func TestKillRestoreVerify(t *testing.T) {
 		concurrent bool
 	}{
 		{"union-aggregate/feeder-cut", true, false},
+		{"union-aggregate/concurrent-coordinator", true, true},
 		{"union-sink/concurrent-coordinator", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,23 +194,39 @@ func TestKillRestoreVerify(t *testing.T) {
 				coord.Run()
 			}
 			fed := 0
+			// A feeder cut waits for the chunk after it: with δ this large
+			// only data carries a source to the cut's timestamp.
+			var cut chan error
 			for c := 1; fed < n && (c <= crashAfter || coord.Completed() == 0); c++ {
 				feed(e, srcs, fed, fed+drillChunk, [2]uint64{})
 				fed += drillChunk
+				if cut != nil {
+					if err := <-cut; err != nil {
+						t.Fatalf("checkpoint before chunk %d: %v", c, err)
+					}
+					cut = nil
+				}
 				if tc.concurrent {
 					time.Sleep(time.Millisecond) // let coordinator ticks land mid-feed
 				} else if c%cutEvery == 0 {
-					if _, err := coord.Once(); err != nil {
-						t.Fatalf("checkpoint after chunk %d: %v", c, err)
-					}
+					cut = make(chan error, 1)
+					go func() {
+						_, err := coord.Once()
+						cut <- err
+					}()
+					waitArmed(t, srcs)
 				}
 			}
-			// The kill: stop the coordinator (waits out an in-flight cycle,
-			// so the store holds only complete checkpoints), then tear the
-			// engine down with no drain — everything past the last durable
-			// barrier is lost.
-			coord.Stop()
+			// The kill: tear the engine down with no drain — everything
+			// past the last durable barrier is lost — which also fails a
+			// checkpoint still waiting for its cut; then stop the
+			// coordinator, which waits out an in-flight cycle, so the store
+			// holds only complete checkpoints.
 			e.Stop()
+			coord.Stop()
+			if cut != nil {
+				<-cut
+			}
 			if err := e.Wait(); err != nil {
 				t.Fatalf("crashed engine reported failure: %v", err)
 			}
@@ -233,13 +266,11 @@ func TestKillRestoreVerify(t *testing.T) {
 	}
 }
 
-// TestCheckpointUnderTrafficKeepsArcOrder is the reproducer for the barrier
-// protocol's known defect: with no crash at all, a checkpoint cut while
-// traffic flows can leave the union's output arc out of timestamp order.
+// TestCheckpointUnderTrafficKeepsArcOrder: with no crash at all, checkpoints
+// cut while traffic flows must leave the union's output arc in timestamp
+// order — which a cut by queue position cannot promise when the sources cut
+// at different sequence numbers (DESIGN.md §14).
 func TestCheckpointUnderTrafficKeepsArcOrder(t *testing.T) {
-	t.Skip("known defect in internal/ops/barrier.go's consume-and-stash (DESIGN.md §14 \"Known defect\"): " +
-		"when the sources cut at different sequence numbers the union replays the aligned input's stash " +
-		"behind higher-timestamped tuples of the lagging input; un-skip with the protocol fix")
 	const (
 		rounds = 30
 		n      = 40_000 // tuples per source per round
@@ -266,10 +297,11 @@ func TestCheckpointUnderTrafficKeepsArcOrder(t *testing.T) {
 		e.Start()
 		coord.Run()
 		feed(e, srcs, 0, n, [2]uint64{})
-		// Stop before EOS: a barrier injected into a closing source would
-		// never come back (DESIGN.md §14).
-		coord.Stop()
+		// EOS reaches any cut still armed, so close before stopping the
+		// coordinator: its in-flight cycle completes instead of waiting for
+		// data that will not come.
 		drain(t, e, srcs)
+		coord.Stop()
 		if inversions > 0 {
 			bad++
 			total += inversions

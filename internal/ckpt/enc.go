@@ -1,11 +1,12 @@
 // Package ckpt implements punctuation-aligned checkpointing for operator
-// state. A checkpoint is a consistent cut of the query graph: the coordinator
-// injects a barrier punctuation at every source, the barrier flows the
-// ordinary arcs (inheriting the shard broadcast and min-watermark merge
-// alignment the partition rewrite already provides for punctuation), and each
-// stateful operator snapshots its state the moment the barrier applies — no
-// pause, no global lock, exactly the frontier-aligned coordination the
-// punctuation mechanism makes cheap.
+// state. A checkpoint is a consistent cut of the query graph at one
+// timestamp T: every source emits a barrier punctuation at T where its
+// stream reaches T, the barrier flows the ordinary arcs (inheriting the
+// shard broadcast and min-watermark merge alignment the partition rewrite
+// already provides for punctuation), and each stateful operator snapshots
+// its state the moment the barrier applies — no pause, no global lock,
+// exactly the frontier-aligned coordination the punctuation mechanism makes
+// cheap.
 //
 // The package has three layers:
 //

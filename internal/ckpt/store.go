@@ -52,8 +52,8 @@ type Segment struct {
 type Snapshot struct {
 	// ID is the barrier's checkpoint ID (monotone per coordinator).
 	ID uint64
-	// Barrier is the merged barrier ETS observed at snapshot time (the
-	// minimum across sources; informational).
+	// Barrier is the cut's timestamp T: each source's replay prefix is
+	// exactly its tuples below T (informational).
 	Barrier tuple.Time
 	// When is the wall-clock time of the checkpoint in µs since the epoch.
 	When int64

@@ -73,3 +73,19 @@ func TestRunRuntimeSmoke(t *testing.T) {
 		t.Error("no demand-driven ETS under a 100:1 skew")
 	}
 }
+
+// A run lasts its whole duration: a stream whose next tuple falls past the
+// deadline stays open until then instead of closing early, which would hand
+// the union an EOS and unblock it. Seed 2's slow stream draws its first gap
+// at 1.9 s, past the 200 ms run.
+func TestRunRuntimeLastsItsDuration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time experiment in -short mode")
+	}
+	const dur = 200 * time.Millisecond
+	start := time.Now()
+	RunRuntime(500, 1, dur, true, 2)
+	if took := time.Since(start); took < dur {
+		t.Fatalf("RunRuntime over %v returned after %v", dur, took)
+	}
+}

@@ -57,9 +57,13 @@ func RunRuntime(fastRate, slowRate float64, dur time.Duration, onDemand bool, se
 		r := rand.New(rand.NewSource(seed))
 		deadline := time.Now().Add(dur)
 		i := int64(0)
-		for time.Now().Before(deadline) {
+		for {
 			gap := time.Duration(r.ExpFloat64() / rate * float64(time.Second))
 			if gap > time.Until(deadline) {
+				// The next tuple falls past the run: stay silent to the
+				// deadline, as the stream would. Closing now would hand the
+				// union an early EOS, a bound no sparse stream gives.
+				time.Sleep(time.Until(deadline))
 				break
 			}
 			time.Sleep(gap)

@@ -53,7 +53,7 @@ type WindowJoin struct {
 	// DedupPunct is as for Union.
 	DedupPunct bool
 	watermark  tuple.Time
-	al         aligner // checkpoint-barrier alignment (TSM mode)
+	cut        cut // checkpoint barriers popped so far (TSM mode)
 
 	dataOut  uint64
 	punctOut uint64
@@ -191,9 +191,6 @@ func (j *WindowJoin) More(ctx *Ctx) bool {
 		return allNonEmpty(ctx.Ins)
 	case TSM:
 		j.regs.Observe(ctx.Ins)
-		if j.al.ready(ctx.Ins) >= 0 {
-			return true
-		}
 		ok, _, _ := j.regs.More(ctx.Ins)
 		return ok
 	default:
@@ -208,9 +205,6 @@ func (j *WindowJoin) BlockingInput(ctx *Ctx) int {
 		return firstEmpty(ctx.Ins)
 	case TSM:
 		j.regs.Observe(ctx.Ins)
-		if j.al.ready(ctx.Ins) >= 0 {
-			return -1
-		}
 		if ok, _, _ := j.regs.More(ctx.Ins); ok {
 			return -1
 		}
@@ -252,31 +246,19 @@ func (j *WindowJoin) execBasic(ctx *Ctx) bool {
 
 func (j *WindowJoin) execTSM(ctx *Ctx) bool {
 	j.regs.Observe(ctx.Ins)
-	var t *tuple.Tuple
-	τ := tuple.MinTime
-	side := j.al.ready(ctx.Ins)
-	if side >= 0 {
-		// A checkpoint barrier at the head of an unaligned input is
-		// consumable regardless of τ (see barrier.go).
-		t = ctx.Ins[side].Pop()
-	} else {
-		ok, s, bound := j.regs.More(ctx.Ins)
-		if !ok {
-			return false
-		}
-		side, τ = s, bound
-		t = ctx.Ins[side].Pop()
+	ok, side, τ := j.regs.More(ctx.Ins)
+	if !ok {
+		return false
 	}
-	if handled, yield := handleBarrier(&j.al, j, ctx, side, t); handled {
-		return yield
-	}
+	t := ctx.Ins[side].Pop()
 	if !t.IsPunct() {
 		if τ > j.watermark {
 			j.watermark = τ
 		}
 		return j.produce(ctx, side, t)
 	}
-	return j.punctStep(ctx, side, t)
+	yield := passBarrier(ctx, &j.cut, j.regs, t, &j.watermark, &j.punctOut)
+	return j.punctStep(ctx, side, t) || yield
 }
 
 // punctStep runs the TSM punctuation rule for a consumed punctuation with
@@ -289,7 +271,7 @@ func (j *WindowJoin) punctStep(ctx *Ctx, side int, t *tuple.Tuple) bool {
 	bound, _ := j.regs.Min()
 	if !j.DedupPunct {
 		j.punctOut++
-		ctx.Emit(t)
+		ctx.Emit(plainPunct(t))
 		return true
 	}
 	if bound > j.watermark && bound != tuple.MaxTime {
@@ -304,33 +286,6 @@ func (j *WindowJoin) punctStep(ctx *Ctx, side int, t *tuple.Tuple) bool {
 		return true
 	}
 	return false // absorbed: the bound did not advance
-}
-
-// barrierHost hooks (see barrier.go).
-
-func (j *WindowJoin) replayData(ctx *Ctx, side int, t *tuple.Tuple) {
-	j.produce(ctx, side, t)
-}
-
-func (j *WindowJoin) replayPunct(ctx *Ctx, side int, t *tuple.Tuple) {
-	j.punctStep(ctx, side, t)
-}
-
-func (j *WindowJoin) barrierBound(ctx *Ctx) tuple.Time {
-	j.regs.Observe(ctx.Ins)
-	bound, _ := j.regs.Min()
-	return bound
-}
-
-func (j *WindowJoin) emitBarrier(ctx *Ctx, id uint64, bound tuple.Time) {
-	if bound > j.watermark && bound != tuple.MaxTime {
-		j.watermark = bound
-	}
-	j.punctOut++
-	ctx.barrier(id, bound)
-	p := tuple.GetPunct(bound)
-	p.Ckpt = id
-	ctx.Emit(p)
 }
 
 func (j *WindowJoin) execLatent(ctx *Ctx) bool {

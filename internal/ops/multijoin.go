@@ -66,7 +66,7 @@ type MultiJoin struct {
 	// DedupPunct is as for Union and WindowJoin.
 	DedupPunct bool
 	watermark  tuple.Time
-	al         aligner // checkpoint-barrier alignment
+	cut        cut // checkpoint barriers popped so far
 
 	dataOut  uint64
 	punctOut uint64
@@ -182,9 +182,6 @@ func (j *MultiJoin) PunctEmitted() uint64 { return j.punctOut }
 // More implements the relaxed condition over all n inputs.
 func (j *MultiJoin) More(ctx *Ctx) bool {
 	j.regs.Observe(ctx.Ins)
-	if j.al.ready(ctx.Ins) >= 0 {
-		return true
-	}
 	ok, _, _ := j.regs.More(ctx.Ins)
 	return ok
 }
@@ -192,9 +189,6 @@ func (j *MultiJoin) More(ctx *Ctx) bool {
 // BlockingInput identifies the input to backtrack into.
 func (j *MultiJoin) BlockingInput(ctx *Ctx) int {
 	j.regs.Observe(ctx.Ins)
-	if j.al.ready(ctx.Ins) >= 0 {
-		return -1
-	}
 	if ok, _, _ := j.regs.More(ctx.Ins); ok {
 		return -1
 	}
@@ -204,31 +198,19 @@ func (j *MultiJoin) BlockingInput(ctx *Ctx) int {
 // Exec performs one production/consumption step.
 func (j *MultiJoin) Exec(ctx *Ctx) bool {
 	j.regs.Observe(ctx.Ins)
-	var t *tuple.Tuple
-	τ := tuple.MinTime
-	input := j.al.ready(ctx.Ins)
-	if input >= 0 {
-		// A checkpoint barrier at the head of an unaligned input is
-		// consumable regardless of τ (see barrier.go).
-		t = ctx.Ins[input].Pop()
-	} else {
-		ok, in, bound := j.regs.More(ctx.Ins)
-		if !ok {
-			return false
-		}
-		input, τ = in, bound
-		t = ctx.Ins[input].Pop()
+	ok, input, τ := j.regs.More(ctx.Ins)
+	if !ok {
+		return false
 	}
-	if handled, yield := handleBarrier(&j.al, j, ctx, input, t); handled {
-		return yield
-	}
+	t := ctx.Ins[input].Pop()
 	if !t.IsPunct() {
 		if τ > j.watermark {
 			j.watermark = τ
 		}
 		return j.produce(ctx, input, t)
 	}
-	return j.punctStep(ctx, input, t)
+	yield := passBarrier(ctx, &j.cut, j.regs, t, &j.watermark, &j.punctOut)
+	return j.punctStep(ctx, input, t) || yield
 }
 
 // punctStep runs the punctuation rule for a consumed punctuation on input:
@@ -244,7 +226,7 @@ func (j *MultiJoin) punctStep(ctx *Ctx, input int, t *tuple.Tuple) bool {
 	bound, _ := j.regs.Min()
 	if !j.DedupPunct {
 		j.punctOut++
-		ctx.Emit(t)
+		ctx.Emit(plainPunct(t))
 		return true
 	}
 	if bound > j.watermark && bound != tuple.MaxTime {
@@ -259,33 +241,6 @@ func (j *MultiJoin) punctStep(ctx *Ctx, input int, t *tuple.Tuple) bool {
 		return true
 	}
 	return false // absorbed: the bound did not advance
-}
-
-// barrierHost hooks (see barrier.go).
-
-func (j *MultiJoin) replayData(ctx *Ctx, input int, t *tuple.Tuple) {
-	j.produce(ctx, input, t)
-}
-
-func (j *MultiJoin) replayPunct(ctx *Ctx, input int, t *tuple.Tuple) {
-	j.punctStep(ctx, input, t)
-}
-
-func (j *MultiJoin) barrierBound(ctx *Ctx) tuple.Time {
-	j.regs.Observe(ctx.Ins)
-	bound, _ := j.regs.Min()
-	return bound
-}
-
-func (j *MultiJoin) emitBarrier(ctx *Ctx, id uint64, bound tuple.Time) {
-	if bound > j.watermark && bound != tuple.MaxTime {
-		j.watermark = bound
-	}
-	j.punctOut++
-	ctx.barrier(id, bound)
-	p := tuple.GetPunct(bound)
-	p.Ckpt = id
-	ctx.Emit(p)
 }
 
 func (j *MultiJoin) allEOS() bool {

@@ -45,11 +45,11 @@ type Ctx struct {
 	Now func() tuple.Time
 	// OnBarrier, when non-nil, is invoked by the operator the moment a
 	// checkpoint barrier (a punctuation with Ckpt != 0) has fully applied
-	// to it — after every input's barrier is aligned and before any
-	// post-barrier tuple is processed. The engine snapshots the operator's
-	// state inside the callback (on the node's own goroutine, so no
-	// locking is needed); bound is the merged barrier timestamp the
-	// operator conveys downstream.
+	// to it — at a source, where its stream reaches the cut; at a
+	// multi-input operator, when the last input's barrier pops — and
+	// before any post-barrier tuple is processed. The engine snapshots the
+	// operator's state inside the callback (on the node's own goroutine, so
+	// no locking is needed); bound is the cut's timestamp.
 	OnBarrier func(id uint64, bound tuple.Time)
 }
 

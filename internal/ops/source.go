@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/ckpt"
@@ -21,13 +22,22 @@ import (
 //
 // The source also owns the stream's ETS estimator (§5): when the execution
 // engine backtracks to a source whose inbox is empty, it asks the source for
-// an on-demand ETS; periodic-heartbeat drivers call InjectETS on a timer.
+// an on-demand ETS; the simulator's periodic-heartbeat driver calls
+// InjectETS on a timer.
 type Source struct {
 	base
 	tsKind tuple.TSKind
 	inbox  *buffer.Queue
 	est    *tsm.ETSEstimator
 	seq    uint64
+
+	// cut is the armed checkpoint cut, its payload the checkpoint id.
+	// sawCut is the last cut looked at, high the highest timestamp emitted
+	// this run (EOS aside), refused the id of the last cut refused.
+	cut     Fence[uint64]
+	sawCut  uint64
+	high    tuple.Time
+	refused atomic.Uint64
 
 	// stats
 	emitted    uint64
@@ -46,6 +56,7 @@ func NewSource(name string, schema *tuple.Schema, delta tuple.Time) *Source {
 		base:   base{name: name, inputs: 0, schema: schema},
 		tsKind: kind,
 		inbox:  buffer.New(name + ".inbox"),
+		high:   tuple.MinTime,
 	}
 	switch kind {
 	case tuple.Internal:
@@ -126,26 +137,25 @@ func (s *Source) More(*Ctx) bool { return !s.inbox.Empty() }
 func (s *Source) BlockingInput(*Ctx) int { return -1 }
 
 // Exec moves one tuple from the inbox (already stamped by Ingest) to the
-// output and feeds the stream's ETS estimator.
+// output and feeds the stream's ETS estimator. An armed checkpoint cut the
+// tuple reaches is emitted first.
 func (s *Source) Exec(ctx *Ctx) bool {
 	out := s.inbox.Pop()
 	if out == nil {
 		return false
 	}
+	if _, _, armed := s.cut.Armed(); armed {
+		ts := out.Ts
+		if s.tsKind == tuple.Latent {
+			ts = tuple.MaxTime // no timestamps: a latent stream cuts at its next tuple
+		}
+		s.ReachCut(ctx, ts)
+	}
+	if out.Ts > s.high && !out.IsEOS() {
+		s.high = out.Ts
+	}
 	if out.IsPunct() {
 		s.etsEmitted++
-		if out.Ckpt != 0 {
-			// Checkpoint barrier (injected at MinTime): rewrite its
-			// timestamp to the estimator's standing bound — the strongest
-			// promise downstream could already rely on — so the barrier
-			// flows as an honest punctuation, and snapshot at the exact
-			// emission cut (s.seq is the replay watermark).
-			out.Ts = tuple.MinTime
-			if s.est != nil {
-				out.Ts = s.est.Bound()
-			}
-			ctx.barrier(out.Ckpt, out.Ts)
-		}
 		if s.est != nil && !out.IsEOS() && out.Ts != tuple.MinTime {
 			s.est.Emit(out.Ts)
 		}
@@ -163,6 +173,75 @@ func (s *Source) Exec(ctx *Ctx) bool {
 	s.emitted++
 	ctx.Emit(out)
 	return true
+}
+
+// ArmCut arms checkpoint id's cut at timestamp at: the source emits a
+// barrier punctuation tagged id at Ts = at just before the first tuple,
+// punctuation or EOS it emits at or above at, and reports the cut there
+// through Ctx.OnBarrier, Seq() being the count of tuples below at. It
+// refuses while another cut is armed. Safe for concurrent use.
+func (s *Source) ArmCut(id uint64, at tuple.Time) bool { return s.cut.Arm(at, id) }
+
+// CancelCut disarms checkpoint id's cut if the source has not reached it.
+// Safe for concurrent use.
+func (s *Source) CancelCut(id uint64) { s.cut.Cancel(id) }
+
+// ArmedCut reports the armed cut, if any. Safe for concurrent use.
+func (s *Source) ArmedCut() (id uint64, at tuple.Time, ok bool) {
+	at, id, ok = s.cut.Armed()
+	return id, at, ok
+}
+
+// CutRefused reports whether the source refused checkpoint id's cut: when it
+// first saw the cut it had already emitted at or past the cut's timestamp,
+// so no barrier there could separate its stream. Safe for concurrent use.
+func (s *Source) CutRefused(id uint64) bool { return s.refused.Load() == id }
+
+// ReachCut emits the armed cut's barrier if the stream reaches it at ts, the
+// timestamp of what the source is about to emit. Exec calls it; the runtime
+// calls it for an idle source with what it could promise (Promise), and
+// before it closes a dead stream itself (ts = MaxTime). Source goroutine
+// only.
+func (s *Source) ReachCut(ctx *Ctx, ts tuple.Time) {
+	at, id, ok := s.cut.Armed()
+	if !ok {
+		return
+	}
+	if id != s.sawCut {
+		s.sawCut = id
+		if s.high >= at && s.cut.Cancel(id) {
+			s.refused.Store(id)
+			return
+		}
+	}
+	if _, _, ok := s.cut.Reach(ts); !ok {
+		return
+	}
+	p := tuple.GetPunct(at)
+	p.Ckpt = id
+	s.etsEmitted++
+	ctx.barrier(id, at)
+	if s.est != nil {
+		s.est.Emit(at)
+	}
+	s.high = at
+	ctx.Emit(p)
+}
+
+// Promise reports the bound the source could promise at clock now, without
+// promising it: the ETS its estimator would issue (the standing one when no
+// fresher exists). A stream with nothing to bound — latent, or external
+// before its first tuple — reports MaxTime: it has emitted no data, so it is
+// at any cut already, and a first tuple below the cut arrives late like any
+// tuple below a promised bound. An idle source reaches a cut with it and
+// emits only the barrier, the least promise the cut needs. Source goroutine
+// only.
+func (s *Source) Promise(now tuple.Time) tuple.Time {
+	if !s.CanBound() {
+		return tuple.MaxTime
+	}
+	ets, _ := s.est.ETS(now)
+	return ets
 }
 
 // OnDemandETS generates an Enabling Time-Stamp for the current clock, as the
@@ -190,11 +269,10 @@ func (s *Source) OnDemandETS(now tuple.Time) (*tuple.Tuple, bool) {
 // is not signalled uselessly.
 func (s *Source) CanBound() bool { return s.est != nil && s.est.CanBound() }
 
-// InjectETS pushes a heartbeat punctuation into the inbox; the periodic
-// (Gigascope-style) driver calls this at fixed intervals, and the concurrent
-// runtime's source-liveness watchdog reuses it (on the source's own
-// goroutine) to force a skew-bounded ETS out of a source that has gone
-// silent. Internal streams stamp the heartbeat with the injection clock;
+// InjectETS pushes a heartbeat punctuation into the inbox; the simulator's
+// periodic (Gigascope-style) driver calls this at fixed intervals. The
+// concurrent runtime does not: its watchdog forces an on-demand ETS
+// instead. Internal streams stamp the heartbeat with the injection clock;
 // external streams use the estimator's current bound if one exists. Unlike
 // on-demand generation, periodic injection happens regardless of whether
 // anything downstream is idle-waiting — that indiscriminateness is what the

@@ -16,13 +16,11 @@ import (
 // overloaded shard.
 const SplitBuckets = 256
 
-// splitRetarget is a pending bucket→shard re-assignment fenced on a
-// punctuation barrier: tuples timestamped at or above Barrier route through
-// Assign, older tuples through the current table, and the current table is
-// retired once a punctuation ≥ Barrier proves no older data can follow.
-type splitRetarget struct {
+// retarget is the payload of a splitter's fence: the bucket→shard table
+// that becomes current when the stream reaches the fence, and the version it
+// brings.
+type retarget struct {
 	assign  []int32
-	barrier tuple.Time
 	version uint64
 }
 
@@ -50,11 +48,11 @@ type Split struct {
 	rr     int
 	routed *metrics.PerShard
 
-	// cur is the live bucket→shard table (len SplitBuckets); pending, when
-	// non-nil, is a retarget waiting for its barrier punctuation. Both are
-	// written by Retarget/promotion and read on the hot path, hence atomic.
+	// cur is the live bucket→shard table (len SplitBuckets); fence, when
+	// armed, holds a retarget waiting for the stream to reach its barrier.
+	// Both are written by Retarget/promotion and read on the hot path.
 	cur     atomic.Pointer[[]int32]
-	pending atomic.Pointer[splitRetarget]
+	fence   Fence[*retarget]
 	version atomic.Uint64 // bumps when a retarget is promoted (applied)
 
 	// load counts data tuples per bucket since the last Rate() poll by the
@@ -116,7 +114,10 @@ func (s *Split) AssignVersion() uint64 { return s.version.Load() }
 // RetargetPending reports whether a retarget has been issued but not yet
 // promoted. A splitter group with any pending member must not be retargeted
 // again: issuing to only some members would break key co-location.
-func (s *Split) RetargetPending() bool { return s.pending.Load() != nil }
+func (s *Split) RetargetPending() bool {
+	_, _, ok := s.fence.Armed()
+	return ok
+}
 
 // MaxTs reports the highest data timestamp the splitter has routed.
 func (s *Split) MaxTs() tuple.Time { return tuple.Time(s.maxTs.Load()) }
@@ -152,19 +153,18 @@ func (s *Split) Retarget(assign []int32, barrier tuple.Time) bool {
 			return false
 		}
 	}
-	next := &splitRetarget{
+	next := &retarget{
 		assign:  append([]int32(nil), assign...),
-		barrier: barrier,
 		version: s.version.Load() + 1,
 	}
-	return s.pending.CompareAndSwap(nil, next)
+	return s.fence.Arm(barrier, next)
 }
 
 // route picks the shard for a data tuple from its key hash and timestamp.
 func (s *Split) route(hash uint64, ts tuple.Time) int {
 	b := hash % SplitBuckets
 	s.load.Add(int(b), 1)
-	if p := s.pending.Load(); p != nil && ts >= p.barrier {
+	if at, p, ok := s.fence.Armed(); ok && ts >= at {
 		return int(p.assign[b])
 	}
 	return int((*s.cur.Load())[b])
@@ -177,19 +177,18 @@ func (s *Split) noteTs(ts tuple.Time) {
 	}
 }
 
-// promote retires the old table if punctuation ts clears a pending barrier.
-// Runs only on the splitter's own goroutine (Exec), which is what
-// makes the punctuation a true quiescent point for this arc.
+// promote retires the old table if punctuation ts reaches the fence. Runs
+// only on the splitter's own goroutine (Exec), which is what makes the
+// punctuation a true quiescent point for this arc.
 func (s *Split) promote(ts tuple.Time) {
-	p := s.pending.Load()
-	if p == nil || ts < p.barrier {
+	at, p, ok := s.fence.Reach(ts)
+	if !ok {
 		return
 	}
 	s.cur.Store(&p.assign)
-	s.pending.Store(nil)
 	s.version.Store(p.version)
 	if fn := s.onApply.Load(); fn != nil {
-		(*fn)(p.barrier)
+		(*fn)(at)
 	}
 }
 

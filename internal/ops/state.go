@@ -18,10 +18,9 @@ import (
 // is written in sorted order — so save → restore → save is byte-identical,
 // which the fuzz round-trip test relies on.
 //
-// Alignment stash and pending-retarget state are deliberately *not*
-// checkpointed: both hold post-barrier information. Stashed tuples replay
-// from the clients' retained batches after restore, and an abandoned
-// retarget is reissued by the controller.
+// Neither an armed fence nor a multi-input operator's barrier count is
+// checkpointed: a snapshot is taken as its own cut completes, and a pending
+// retarget is post-barrier information the controller reissues.
 
 // Operator-kind tags, the first byte of every payload.
 const (

@@ -34,7 +34,7 @@ type Union struct {
 
 	watermark tuple.Time // highest output bound already conveyed downstream
 	rr        int        // round-robin cursor for latent mode
-	al        aligner    // checkpoint-barrier alignment (TSM mode)
+	cut       cut        // checkpoint barriers popped so far (TSM mode)
 
 	dataOut  uint64
 	punctOut uint64
@@ -80,9 +80,6 @@ func (u *Union) More(ctx *Ctx) bool {
 		return allNonEmpty(ctx.Ins)
 	case TSM:
 		u.regs.Observe(ctx.Ins)
-		if u.al.ready(ctx.Ins) >= 0 {
-			return true
-		}
 		ok, _, _ := u.regs.More(ctx.Ins)
 		return ok
 	default: // LatentMode
@@ -97,9 +94,6 @@ func (u *Union) BlockingInput(ctx *Ctx) int {
 		return firstEmpty(ctx.Ins)
 	case TSM:
 		u.regs.Observe(ctx.Ins)
-		if u.al.ready(ctx.Ins) >= 0 {
-			return -1
-		}
 		if ok, _, _ := u.regs.More(ctx.Ins); ok {
 			return -1
 		}
@@ -144,34 +138,23 @@ func (u *Union) execBasic(ctx *Ctx) bool {
 
 func (u *Union) execTSM(ctx *Ctx) bool {
 	u.regs.Observe(ctx.Ins)
-	var t *tuple.Tuple
-	τ := tuple.MinTime
-	input := u.al.ready(ctx.Ins)
-	if input >= 0 {
-		// A checkpoint barrier at the head of an unaligned input is
-		// consumable regardless of τ (see barrier.go).
-		t = ctx.Ins[input].Pop()
-	} else {
-		ok, in, bound := u.regs.More(ctx.Ins)
-		if !ok {
-			return false
-		}
-		input, τ = in, bound
-		t = ctx.Ins[input].Pop()
+	ok, input, τ := u.regs.More(ctx.Ins)
+	if !ok {
+		return false
 	}
-	if handled, yield := handleBarrier(&u.al, u, ctx, input, t); handled {
-		return yield
-	}
+	t := ctx.Ins[input].Pop()
 	if !t.IsPunct() {
 		// Data tuple at τ: deliver it (Figure 6). The tuple itself
 		// carries the bound τ downstream.
 		if τ > u.watermark {
 			u.watermark = τ
 		}
-		u.replayData(ctx, input, t)
+		u.dataOut++
+		ctx.Emit(t)
 		return true
 	}
-	return u.punctStep(ctx, t)
+	yield := passBarrier(ctx, &u.cut, u.regs, t, &u.watermark, &u.punctOut)
+	return u.punctStep(ctx, t) || yield
 }
 
 // punctStep runs the TSM punctuation rule for a consumed punctuation:
@@ -181,7 +164,7 @@ func (u *Union) punctStep(ctx *Ctx, t *tuple.Tuple) bool {
 	bound, _ := u.regs.Min()
 	if !u.DedupPunct {
 		u.punctOut++
-		ctx.Emit(t)
+		ctx.Emit(plainPunct(t))
 		return true
 	}
 	if bound > u.watermark && bound != tuple.MaxTime {
@@ -196,34 +179,6 @@ func (u *Union) punctStep(ctx *Ctx, t *tuple.Tuple) bool {
 		return true
 	}
 	return false // absorbed: the bound did not advance
-}
-
-// barrierHost hooks (see barrier.go).
-
-func (u *Union) replayData(ctx *Ctx, _ int, t *tuple.Tuple) {
-	u.dataOut++
-	ctx.Emit(t)
-}
-
-func (u *Union) replayPunct(ctx *Ctx, _ int, t *tuple.Tuple) {
-	u.punctStep(ctx, t)
-}
-
-func (u *Union) barrierBound(ctx *Ctx) tuple.Time {
-	u.regs.Observe(ctx.Ins)
-	bound, _ := u.regs.Min()
-	return bound
-}
-
-func (u *Union) emitBarrier(ctx *Ctx, id uint64, bound tuple.Time) {
-	if bound > u.watermark && bound != tuple.MaxTime {
-		u.watermark = bound
-	}
-	u.punctOut++
-	ctx.barrier(id, bound)
-	p := tuple.GetPunct(bound)
-	p.Ckpt = id
-	ctx.Emit(p)
 }
 
 // allEOS reports whether every register has reached end-of-stream.

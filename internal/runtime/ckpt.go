@@ -1,13 +1,17 @@
-// Punctuation-aligned checkpointing (DESIGN.md §14). A checkpoint is cut by
-// appending a tagged punctuation — a barrier — to every source's inlet. The
-// barrier rides the ordinary arcs: sources rewrite its timestamp to their
-// standing bound, splitters broadcast a copy to every shard, and multi-input
-// operators align barriers across inputs with the consume-and-stash protocol
-// in ops/barrier.go. The moment a barrier fully applies at a node, the node
-// invokes its Ctx.OnBarrier callback on its own goroutine — the one instant
-// its state is both quiescent and safely readable — and the engine encodes
-// the operator's state right there. The engine-side collector below gathers
-// one report per node and assembles the snapshot.
+// Checkpointing by a timestamp cut (DESIGN.md §14). A checkpoint picks one
+// timestamp T just above everything the sources have been given (armCut)
+// and arms every source with (id, T). Each source emits a barrier — a
+// punctuation at Ts = T tagged with the checkpoint id — just before the
+// first tuple, ETS or EOS it emits at or above T, so its sequence number
+// there is an exact replay prefix. Splitters broadcast a copy to every
+// shard, and a multi-input operator aligns the copies by τ-order alone: a
+// barrier is consumed before data at an equal timestamp, and nothing after a
+// barrier on its arc is below T. The moment a barrier fully applies at a
+// node — at a multi-input operator, when the last input's barrier pops — the
+// node invokes its Ctx.OnBarrier callback on its own goroutine, the one
+// instant its state is both quiescent and safely readable, and the engine
+// encodes the operator's state right there. The engine-side collector below
+// gathers one report per node and assembles the snapshot.
 package runtime
 
 import (
@@ -22,8 +26,8 @@ import (
 	"repro/internal/tuple"
 )
 
-// ErrCkptUnsupported reports a graph configuration the barrier protocol
-// cannot checkpoint: an IWP operator outside TSM mode, or two stateful nodes
+// ErrCkptUnsupported reports a graph configuration the timestamp cut cannot
+// checkpoint: an IWP operator outside TSM mode, or two stateful nodes
 // with the same name.
 var ErrCkptUnsupported = errors.New("runtime: graph not checkpointable")
 
@@ -51,9 +55,9 @@ type ckptCollect struct {
 }
 
 // onBarrier runs on n's goroutine at the instant a checkpoint barrier fully
-// applied there (for multi-input operators: after alignment, state snapshot
-// point, before stash replay). It encodes the operator's state and reports
-// to the in-flight collection.
+// applied there (for multi-input operators: when the last input's barrier
+// popped, before the operator forwards its own). It encodes the operator's
+// state and reports to the in-flight collection.
 func (e *Engine) onBarrier(n *node, id uint64, bound tuple.Time) {
 	cc := e.ckptCur.Load()
 	if cc == nil || cc.id != id {
@@ -81,7 +85,7 @@ func (e *Engine) onBarrier(n *node, id uint64, bound tuple.Time) {
 	}
 }
 
-// ckptSupported verifies the graph can host the barrier protocol: every IWP
+// ckptSupported verifies the graph can host the timestamp cut: every IWP
 // operator in TSM mode (Basic and Latent modes consume punctuation without
 // forwarding it, so a barrier would die there), and distinct names for
 // stateful nodes (segment names must identify them).
@@ -102,24 +106,28 @@ func (e *Engine) ckptSupported() error {
 	return nil
 }
 
-// Checkpoint cuts one aligned snapshot: it injects a barrier punctuation
-// tagged with id into every source, waits for every node to report the
-// barrier's application, and returns the assembled snapshot. Calls are
-// serialized; a second checkpoint waits for the first. The engine must be
-// started. On timeout or engine stop the attempt is abandoned — in-flight
-// barriers then resolve at the next attempt's abandon-restart rule.
+// Checkpoint cuts one snapshot at a timestamp: it arms every source with a
+// cut at T tagged id (armCut), waits for every node to report the barrier's
+// application, and returns the assembled snapshot, whose Barrier is T. Calls
+// are serialized; a second checkpoint waits for the first. The engine must
+// be started.
 //
-// Avoid checkpointing while sources are closing: a source that reaches EOS
-// before consuming the injected barrier never emits it, and the attempt
-// times out.
+// It completes once every source has reached T: with its next tuple, once
+// it can promise T while idle (at once if it has nothing to bound: a latent
+// stream, or an external one that has seen no tuple), or with its EOS. A
+// source that cannot promise T (an external one whose skew bound δ outlasts
+// the wait) keeps it waiting; one that already emitted past T refuses the
+// cut and the attempt fails at once — a checkpoint may be late, never wrong.
+// A failed attempt disarms the cuts not yet reached; its barriers in flight
+// lose to the next checkpoint's.
 //
-// A barrier rides the arcs FIFO behind whatever data is already in flight,
-// so checkpoint latency is bounded by queue depth over service rate. With
-// unbounded queues (Options.MaxQueueLen == 0) an overloaded operator — e.g.
-// a join whose fan-out outpaces its sink — pushes the barrier back
-// indefinitely and every attempt times out. Periodic checkpointing should
-// run with a queue bound and the backpressure policy (not Shed, which drops
-// tuples the snapshot's sources have already counted).
+// A barrier rides the arcs FIFO behind the data below T, so checkpoint
+// latency is bounded by queue depth over service rate. With unbounded queues
+// (Options.MaxQueueLen == 0) an overloaded operator — e.g. a join whose
+// fan-out outpaces its sink — pushes the barrier back indefinitely and every
+// attempt times out. Periodic checkpointing should run with a queue bound and
+// the backpressure policy (not Shed, which drops tuples the snapshot's
+// sources have already counted).
 func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, error) {
 	if id == 0 {
 		return nil, errors.New("runtime: checkpoint id must be nonzero (zero tags mean no barrier)")
@@ -147,6 +155,9 @@ func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, e
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	abort := func(why string) (*ckpt.Snapshot, error) {
+		for _, sn := range e.srcNodes {
+			sn.gn.Source().CancelCut(id)
+		}
 		e.ckptFailed.Add(1)
 		if e.trace != nil {
 			e.trace.Emit(metrics.EvCkptAbort, "", e.now(), int64(id))
@@ -154,27 +165,48 @@ func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, e
 		return nil, fmt.Errorf("runtime: checkpoint %d: %s", id, why)
 	}
 
-	// Append one tagged barrier to each source's inlet. It queues behind
-	// pending ingest like any producer's tuple, so the source's sequence
-	// number at barrier emission is the exact cut point. It never waits
-	// for room — one tuple per checkpoint cannot grow the inlet unbounded.
-	for _, sn := range e.srcNodes {
-		p := tuple.GetPunct(tuple.MinTime)
-		p.Ckpt = id
-		sn.inlet.force(p)
+	at, err := e.armCut(id)
+	if err != nil {
+		return abort(err.Error())
 	}
+	nudge := time.NewTicker(demandRetry)
+	defer nudge.Stop()
 
 	// Collect one report per node — stateless nodes report too (nil
 	// payload), which is what makes "every node applied the barrier" the
-	// completion condition rather than a guess.
+	// completion condition rather than a guess. Until a source has cut,
+	// each nudge asks it, if idle, to reach T with what it can promise.
 	seen := make(map[*node]ckptReport, len(e.nodes))
+	collect := func(r ckptReport) {
+		if r.id == id {
+			seen[r.n] = r
+		}
+	}
 	for len(seen) < len(e.nodes) {
 		select {
 		case r := <-cc.ch:
-			if r.id != id {
-				continue
+			collect(r)
+		case <-nudge.C:
+			for _, sn := range e.srcNodes {
+				if _, ok := seen[sn]; ok {
+					continue
+				}
+				if sn.gn.Source().CutRefused(id) {
+					return abort(fmt.Sprintf("source %q already emitted at or past the cut at %d", sn.name, at))
+				}
+				if sn.done.Load() {
+					// A source reports before it exits: its report, if
+					// any, is already queued.
+					for len(cc.ch) > 0 {
+						collect(<-cc.ch)
+					}
+					if _, ok := seen[sn]; !ok {
+						return abort(fmt.Sprintf("source %q ended before the cut at %d", sn.name, at))
+					}
+					continue
+				}
+				e.sendCtl(sn, ctlCut)
 			}
-			seen[r.n] = r
 		case <-e.stop:
 			return abort("engine stopped while collecting")
 		case <-deadline.C:
@@ -192,15 +224,7 @@ func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, e
 		}
 	}
 
-	snap := &ckpt.Snapshot{ID: id, Barrier: tuple.MaxTime, When: time.Now().UnixMicro()}
-	for _, sn := range e.srcNodes {
-		if r, ok := seen[sn]; ok && r.bound < snap.Barrier {
-			snap.Barrier = r.bound
-		}
-	}
-	if snap.Barrier == tuple.MaxTime {
-		snap.Barrier = tuple.MinTime
-	}
+	snap := &ckpt.Snapshot{ID: id, Barrier: at, When: time.Now().UnixMicro()}
 	var bytes uint64
 	for n, r := range seen {
 		if !r.stateful {
@@ -221,6 +245,28 @@ func (e *Engine) Checkpoint(id uint64, timeout time.Duration) (*ckpt.Snapshot, e
 		e.trace.Emit(metrics.EvCkptComplete, "", e.now(), int64(id))
 	}
 	return snap, nil
+}
+
+// armCut picks the cut's timestamp and arms every source with it in one
+// step, holding every inlet's lock: it reads each source's highest recorded
+// timestamp (inlet.hi) and places T above the maximum (e.cutAt). Whatever a
+// source emits before it sees its cut was recorded before that step, so it
+// is below T.
+func (e *Engine) armCut(id uint64) (tuple.Time, error) {
+	top := tuple.MinTime
+	for _, sn := range e.srcNodes {
+		sn.inlet.mu.Lock()
+		defer sn.inlet.mu.Unlock()
+		top = max(top, sn.inlet.hi)
+	}
+	at := e.cutAt(top)
+	for _, sn := range e.srcNodes {
+		sn.inlet.hi = max(sn.inlet.hi, at) // the barrier is a timestamp the source emits too
+		if !sn.gn.Source().ArmCut(id, at) {
+			return at, fmt.Errorf("source %q holds another cut", sn.name)
+		}
+	}
+	return at, nil
 }
 
 // Restore loads a snapshot's segments into the graph's stateful operators.
@@ -246,6 +292,7 @@ func (e *Engine) Restore(snap *ckpt.Snapshot) error {
 			stateful[n.name] = s
 		}
 	}
+
 	if len(stateful) != len(snap.Segments) {
 		return fmt.Errorf("runtime: restore: snapshot has %d segments, graph has %d stateful nodes",
 			len(snap.Segments), len(stateful))
@@ -262,6 +309,13 @@ func (e *Engine) Restore(snap *ckpt.Snapshot) error {
 		if err := dec.Done(); err != nil {
 			return fmt.Errorf("runtime: restore %q: trailing state: %w", seg.Name, err)
 		}
+	}
+	// The restored state reaches up to the snapshot's cut (multi-input
+	// registers are capped there), so the next cut goes above it: below it,
+	// a restored operator would take the new barriers before its inputs
+	// reach them.
+	for _, sn := range e.srcNodes {
+		sn.inlet.hi = max(sn.inlet.hi, snap.Barrier)
 	}
 	if e.trace != nil {
 		e.trace.Emit(metrics.EvCkptRestore, "", e.now(), int64(snap.ID))

@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/tuple"
@@ -14,10 +16,15 @@ import (
 // aligned multi-input operator plus a blocking stateful one, the two shapes
 // the barrier protocol has to get right.
 func buildCkptGraph() (*graph.Graph, *ops.Source, *ops.Source, *ops.Sink, *collector) {
+	return buildCkptGraphDelta(0)
+}
+
+// buildCkptGraphDelta is buildCkptGraph with external skew bound delta.
+func buildCkptGraphDelta(delta tuple.Time) (*graph.Graph, *ops.Source, *ops.Source, *ops.Sink, *collector) {
 	g := graph.New("ck")
 	sch := intSchema("s", tuple.External)
-	s1 := ops.NewSource("s1", sch, 0)
-	s2 := ops.NewSource("s2", sch, 0)
+	s1 := ops.NewSource("s1", sch, delta)
+	s2 := ops.NewSource("s2", sch, delta)
 	a := g.AddNode(s1)
 	b := g.AddNode(s2)
 	u := g.AddNode(ops.NewUnion("u", nil, 2, ops.TSM), a, b)
@@ -182,5 +189,133 @@ func TestRestoreRejectsMismatchAndRunning(t *testing.T) {
 	defer e3.Stop()
 	if err := e3.Restore(snap); err == nil {
 		t.Fatal("restore into a running engine accepted")
+	}
+}
+
+// A checkpoint armed just before every source closes completes: EOS reaches
+// any cut. The sources' skew bound outlasts the test, so nothing but EOS can
+// carry them to the cut's timestamp.
+func TestCheckpointAcrossClose(t *testing.T) {
+	g, s1, s2, _, _ := buildCkptGraphDelta(tuple.Time(1) << 40)
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	feedRange(e, s1, 1, 11)
+	feedRange(e, s2, 1, 11)
+	type result struct {
+		snap *ckpt.Snapshot
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		snap, err := e.Checkpoint(1, 10*time.Second)
+		done <- result{snap, err}
+	}()
+	waitFor(t, 10*time.Second, "both sources armed", func() bool {
+		_, _, ok1 := s1.ArmedCut()
+		_, _, ok2 := s2.ArmedCut()
+		return ok1 && ok2
+	})
+	e.CloseStream(s1)
+	e.CloseStream(s2)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("checkpoint across close: %v", r.err)
+	}
+	if r.snap.Barrier != 11 {
+		t.Fatalf("snapshot barrier %v, want 11: just above the sources' last tuple", r.snap.Barrier)
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Checkpoint(2, time.Second); err == nil {
+		t.Fatal("checkpoint of a drained engine accepted")
+	}
+}
+
+// A source that already emitted past the cut refuses it: the checkpoint
+// fails at once with no snapshot, and a later one, placed above the
+// observed maximum as usual, succeeds.
+func TestCheckpointRefusedBySourcePastCut(t *testing.T) {
+	g, s1, s2, _, _ := buildCkptGraph()
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	feedRange(e, s1, 1, 11)
+	feedRange(e, s2, 1, 11)
+	waitFor(t, 10*time.Second, "both sources emitting their tuples", func() bool {
+		return nodeSnap(e, "s1").TuplesOut >= 10 && nodeSnap(e, "s2").TuplesOut >= 10
+	})
+	place := e.cutAt
+	e.cutAt = func(tuple.Time) tuple.Time { return 5 } // behind both sources' tuples
+	snap, err := e.Checkpoint(1, 10*time.Second)
+	if err == nil || snap != nil || !strings.Contains(err.Error(), "already emitted") {
+		t.Fatalf("checkpoint behind the sources: snapshot %v, err %v; want a refusal", snap, err)
+	}
+	e.cutAt = place
+	if snap, err := e.Checkpoint(2, 10*time.Second); err != nil || snap.Barrier <= 10 {
+		t.Fatalf("checkpoint above the sources: snapshot %v, err %v; want one above 10", snap, err)
+	}
+}
+
+// A source that was never fed reaches any cut at once: it has emitted no
+// data, so the checkpoint does not wait for its first tuple.
+func TestCheckpointWithNeverFedSource(t *testing.T) {
+	g, s1, _, _, _ := buildCkptGraph()
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	feedRange(e, s1, 1, 11)
+	snap, err := e.Checkpoint(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("checkpoint with a never-fed source: %v", err)
+	}
+	if snap.Barrier != 11 {
+		t.Fatalf("snapshot barrier %v, want 11: just above the fed source's last tuple", snap.Barrier)
+	}
+}
+
+// The first cut after a restore lands above the restored snapshot's cut:
+// the restored state reaches up to that cut, and a cut below it would let
+// the union take one input's barrier before the other input reaches it.
+func TestCheckpointAfterRestoreCutsAboveSnapshot(t *testing.T) {
+	g, s1, s2, _, _ := buildCkptGraph()
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	feedRange(e, s1, 1, 11)
+	feedRange(e, s2, 1, 11)
+	snap, err := e.Checkpoint(1, 10*time.Second)
+	e.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g2, _, _, _, _ := buildCkptGraph()
+	e2, err := New(g2, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	e2.Start()
+	defer e2.Stop()
+	snap2, err := e2.Checkpoint(2, 10*time.Second)
+	if err != nil {
+		t.Fatalf("checkpoint after restore: %v", err)
+	}
+	if snap2.Barrier != snap.Barrier+1 {
+		t.Fatalf("cut after restore at %v, want just above the restored snapshot's %v", snap2.Barrier, snap.Barrier)
 	}
 }

@@ -272,8 +272,8 @@ func TestInletStopUnblocksProducer(t *testing.T) {
 }
 
 // A checkpoint cut while both sources are saturated with per-tuple Ingest
-// completes: the barrier is appended to the inlet without waiting for room.
-// The barrier's MinTime placeholder is not a lag sample.
+// completes — its cut waits neither for room in an inlet nor behind blocked
+// producers — and leaves no negative lag sample.
 func TestCheckpointUnderSaturatedIngest(t *testing.T) {
 	g, s1, s2, _, _ := buildCkptGraph()
 	e, err := New(g, Options{OnDemandETS: true, MaxQueueLen: 256})

@@ -305,9 +305,9 @@ func (e *Engine) notePunctOut(n *node, t *tuple.Tuple) {
 // per-arc watermark gauge and event-time-lag reservoir (engine clock minus
 // the bound: how far this arc's watermark trails "now") — and records the
 // dequeue span event for a traced punctuation. port is the input arc (0
-// for a source's ingest feed); trace 0 means untraced. A checkpoint barrier
-// arrives at its source at MinTime, a placeholder rather than a bound, and
-// EOS at MaxTime: neither is a lag sample.
+// for a source's ingest feed); trace 0 means untraced. Neither EOS (at
+// MaxTime) nor a punctuation at MinTime, which bounds nothing, is a lag
+// sample.
 func (e *Engine) notePunctArrival(n *node, port int, ts tuple.Time, trace uint64) {
 	n.notePunctIn(ts)
 	o := n.obs

@@ -226,6 +226,9 @@ type Engine struct {
 	ckptBytes  atomic.Uint64
 	ckptLastUs atomic.Int64 // engine clock when the last checkpoint completed
 	ckptDur    *metrics.Reservoir
+	// cutAt places a checkpoint's cut above the sources' observed maximum
+	// (ops.FenceAt); a field so package tests can place one behind a source.
+	cutAt func(max tuple.Time) tuple.Time
 }
 
 // portBatch is one arc delivery: a pooled batch whose slice the receiver
@@ -237,12 +240,23 @@ type portBatch struct {
 
 // inlet is a source node's ingest buffer. Producers append under mu; the
 // source goroutine swaps the whole buffer out in one take. Ingest,
-// IngestBatch, CloseStream and checkpoint barriers all append here in call
-// order, so a source has one FIFO and a barrier cuts at an exact sequence
-// number.
+// IngestBatch and CloseStream all append here in call order, so a source has
+// one FIFO.
+//
+// mu also orders a checkpoint's observation of the source (armCut): every
+// timestamp the source will emit is recorded in hi, under mu, before the
+// source emits it — an external tuple's as it is appended, an internal
+// take's stamp as it is taken, an ETS as it is made, a cut's T as it is
+// armed — so a checkpoint holding every mu sees a maximum nothing the source
+// emits before it sees the cut exceeds.
 type inlet struct {
 	mu  sync.Mutex
 	buf []*tuple.Tuple
+	// hi is the highest timestamp recorded so far (EOS aside); external
+	// reports whether appended data keeps its own timestamps (punctuation
+	// always does).
+	hi       tuple.Time
+	external bool
 	// room, non-nil while a producer waits for room, is closed by the next
 	// take to wake every waiter at once.
 	room chan struct{}
@@ -276,16 +290,14 @@ func (in *inlet) put(stop <-chan struct{}, ts ...*tuple.Tuple) {
 	in.add(ts)
 }
 
-// force appends t without waiting for room: the checkpoint barrier, one
-// tuple per checkpoint, which must not queue behind blocked producers.
-func (in *inlet) force(t *tuple.Tuple) {
-	in.mu.Lock()
-	in.add([]*tuple.Tuple{t})
-}
-
 // add appends ts, releases mu (which the caller holds), and rings the bell
 // if the buffer was empty.
 func (in *inlet) add(ts []*tuple.Tuple) {
+	for _, t := range ts {
+		if (in.external || t.IsPunct()) && t.Ts > in.hi && t.Ts != tuple.MaxTime {
+			in.hi = t.Ts
+		}
+	}
 	ring := len(in.buf) == 0
 	in.buf = append(in.buf, ts...)
 	in.mu.Unlock()
@@ -298,13 +310,17 @@ func (in *inlet) add(ts []*tuple.Tuple) {
 }
 
 // take swaps out everything appended so far and wakes producers waiting for
-// room. The caller hands the slice back through recycle once delivered.
-func (in *inlet) take() []*tuple.Tuple {
+// room; a non-empty take records stamp, the time an internal stream stamps
+// it with. The caller hands the slice back through recycle once delivered.
+func (in *inlet) take(stamp tuple.Time) []*tuple.Tuple {
 	next := in.spare
 	in.spare = nil
 	in.mu.Lock()
 	b := in.buf
 	in.buf = next
+	if len(b) > 0 && stamp > in.hi {
+		in.hi = stamp
+	}
 	if in.room != nil {
 		close(in.room)
 		in.room = nil
@@ -405,6 +421,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	e := &Engine{
 		g: g, opts: opts, plan: plan, stop: make(chan struct{}),
 		maxDelay: maxBatchDelay, backoff: restartBackoff,
+		cutAt: func(max tuple.Time) tuple.Time { return ops.FenceAt(max, 0) },
 	}
 	e.reg = opts.Metrics
 	if e.reg == nil {
@@ -451,7 +468,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n.batchSize.Store(int64(e.batchSize))
 		e.nodes[gn.ID] = n
 		if s := gn.Source(); s != nil {
-			n.inlet = &inlet{bell: make(chan struct{}, 1)}
+			n.inlet = &inlet{bell: make(chan struct{}, 1), hi: tuple.MinTime, external: s.TSKind() == tuple.External}
 			n.ctl = make(chan ctlKind, 4)
 			e.srcNode[s] = n
 			e.srcNodes = append(e.srcNodes, n)
@@ -576,10 +593,14 @@ func (e *Engine) CloseStream(src *ops.Source) {
 // per-tuple calls interleaving data and bounds), so every punctuation in it
 // is accounted, not only a trailing one.
 func (e *Engine) drainInlet(n *node, src *ops.Source) {
-	b := n.inlet.take()
+	now := e.now()
+	stamp := tuple.MinTime
+	if src.TSKind() == tuple.Internal {
+		stamp = now
+	}
+	b := n.inlet.take(stamp)
 	if len(b) > 0 {
 		n.obs.tuplesIn.Add(uint64(len(b)))
-		now := e.now()
 		e.noteSourceActivity(n, now)
 		for _, t := range b {
 			if t.IsPunct() {
@@ -959,7 +980,7 @@ func (e *Engine) runNode(n *node) {
 			case <-n.dem:
 				e.handleDemand(n, ctx)
 			case k := <-n.ctl:
-				e.handleCtl(n, k)
+				e.handleCtl(n, ctx, k)
 			case <-retry.C:
 				// retry the demand on the next iteration
 			case <-e.stop:
@@ -979,7 +1000,7 @@ func (e *Engine) runNode(n *node) {
 		case <-n.dem:
 			e.handleDemand(n, ctx)
 		case k := <-n.ctl:
-			e.handleCtl(n, k)
+			e.handleCtl(n, ctx, k)
 		case <-e.stop:
 			e.exitIdle(n)
 			return
@@ -1170,7 +1191,7 @@ func (e *Engine) handleDemand(n *node, ctx *ops.Ctx) {
 		if !src.Inbox().Empty() {
 			return // data is already on the way
 		}
-		if p, ok := src.OnDemandETS(e.now()); ok {
+		if p := e.sourceETS(n, src); p != nil {
 			e.etsGenerated.Add(1)
 			if src.TSKind() == tuple.Internal {
 				n.obs.etsInternal.Inc()
@@ -1180,9 +1201,23 @@ func (e *Engine) handleDemand(n *node, ctx *ops.Ctx) {
 			if e.trace != nil {
 				e.trace.Emit(metrics.EvETSGen, n.name, p.Ts, 0)
 			}
-			src.Offer(p)
 		}
 		return
 	}
 	e.demandUpstream(n, ctx)
+}
+
+// sourceETS queues an on-demand ETS at the current clock into an idle
+// source, recorded like a take (see inlet), or returns nil when the source
+// has no new bound to promise.
+func (e *Engine) sourceETS(n *node, src *ops.Source) *tuple.Tuple {
+	p, ok := src.OnDemandETS(e.now())
+	if !ok {
+		return nil
+	}
+	n.inlet.mu.Lock()
+	n.inlet.hi = max(n.inlet.hi, p.Ts)
+	n.inlet.mu.Unlock()
+	src.Offer(p)
+	return p
 }

@@ -28,18 +28,23 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/ops"
 	"repro/internal/tuple"
 )
 
-// ctlKind is a watchdog → source-node control signal. Control signals are
-// delivered over a channel and handled on the source's own goroutine, so the
-// watchdog never touches the source's inbox or estimator directly (both are
-// single-owner).
+// ctlKind is a control signal to a source node, from the watchdog or a
+// checkpoint. Control signals are delivered over a channel and handled on
+// the source's own goroutine, so neither touches the source's inbox or
+// estimator directly (both are single-owner).
 type ctlKind uint8
 
 const (
-	// ctlForceETS asks an idle source to inject a skew-bounded ETS.
+	// ctlForceETS asks an idle source for an on-demand ETS (sourceETS), if
+	// its bound has advanced since the last one.
 	ctlForceETS ctlKind = iota
+	// ctlCut asks an idle source to reach an armed checkpoint cut: to emit
+	// its barrier once the source can promise the cut's timestamp.
+	ctlCut
 	// ctlSourceDead asks the source to close its stream: the watchdog has
 	// declared it dead.
 	ctlSourceDead
@@ -102,7 +107,9 @@ func (e *Engine) runProtected(n *node) (completed bool) {
 // last-arrival clock at a fraction of the timeout; a source silent past
 // Options.SourceTimeout while some operator idle-waits gets a forced ETS
 // (via its own goroutine, at most one per timeout window), and one silent
-// past Options.SourceDeadAfter is declared dead.
+// past Options.SourceDeadAfter is declared dead. A forced ETS is made like
+// an on-demand one (sourceETS), so it is recorded for checkpoint cuts, and
+// a source whose bound has not advanced since its last ETS gets none.
 func (e *Engine) watchdog() {
 	defer e.wg.Done()
 	tick := e.opts.SourceTimeout / 4
@@ -172,9 +179,9 @@ func (e *Engine) anyIdle() bool {
 	return false
 }
 
-// handleCtl reacts to a watchdog signal on the source's own goroutine, where
+// handleCtl reacts to a control signal on the source's own goroutine, where
 // touching the inbox and the ETS estimator is safe.
-func (e *Engine) handleCtl(n *node, k ctlKind) {
+func (e *Engine) handleCtl(n *node, ctx *ops.Ctx, k ctlKind) {
 	src := n.gn.Source()
 	if src == nil || n.srcDone {
 		return
@@ -184,12 +191,16 @@ func (e *Engine) handleCtl(n *node, k ctlKind) {
 		if !src.Inbox().Empty() {
 			return // data is already on the way; no bound needed
 		}
-		if src.InjectETS(e.now()) {
+		if e.sourceETS(n, src) != nil {
 			e.forcedETS.Add(1)
 			n.obs.forcedETS.Inc()
 			if e.trace != nil {
 				e.trace.Emit(metrics.EvETSForced, n.name, e.now(), 0)
 			}
+		}
+	case ctlCut:
+		if src.Inbox().Empty() { // else the inbox reaches the cut, or precedes it
+			src.ReachCut(ctx, src.Promise(e.now()))
 		}
 	case ctlSourceDead:
 		if !n.dead.CompareAndSwap(false, true) {
@@ -200,8 +211,10 @@ func (e *Engine) handleCtl(n *node, k ctlKind) {
 			e.trace.Emit(metrics.EvSourceDead, n.name, e.now(), 0)
 		}
 		// Close the stream downstream so watermarks keep advancing past
-		// the dead feed. The node itself keeps running: if the source
-		// revives, its tuples still flow (as counted late tuples).
+		// the dead feed, cutting an armed checkpoint first as any EOS does.
+		// The node itself keeps running: if the source revives, its tuples
+		// still flow (as counted late tuples).
+		src.ReachCut(ctx, tuple.MaxTime)
 		e.emit(n, tuple.EOS())
 	}
 }

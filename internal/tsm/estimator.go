@@ -152,21 +152,6 @@ func (e *ETSEstimator) Emit(ets tuple.Time) {
 	}
 }
 
-// Bound reports the strongest promise already standing on the arc: the last
-// issued ETS, else the last emitted timestamp, else tuple.MinTime. Unlike
-// ETS it never speculates — the value restates what downstream could
-// already rely on, which is exactly what a checkpoint barrier may carry
-// without lying about the future.
-func (e *ETSEstimator) Bound() tuple.Time {
-	if e.hasETS {
-		return e.lastETS
-	}
-	if e.seen.Load() {
-		return e.lastTs
-	}
-	return tuple.MinTime
-}
-
 // State exports the estimator's single-owner fields for a checkpoint
 // (lastTs, lastArrival, seen, lastETS, hasETS — δ is configuration and is
 // re-learned, not checkpointed). Must be called from the source's goroutine.

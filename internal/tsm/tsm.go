@@ -58,6 +58,20 @@ func (r *Registers) Update(i int, ts tuple.Time) bool {
 	return false
 }
 
+// Cap lowers every register above at to at. A multi-input operator caps
+// its registers at a checkpoint's T just before its snapshot: a register
+// above T was raised by a post-cut head that is still queued (the next
+// Observe raises it again), and a snapshot must hold nothing past its own
+// cut, or a restored operator could take the next cut's barriers before its
+// inputs reach them.
+func (r *Registers) Cap(at tuple.Time) {
+	for i, ts := range r.ts {
+		if ts > at {
+			r.ts[i] = at
+		}
+	}
+}
+
 // Observe refreshes every register from the head tuple of its input buffer.
 // Inputs that are currently empty keep their remembered value — that is the
 // entire point of the registers.
@@ -98,10 +112,13 @@ func (r *Registers) Min() (tuple.Time, int) {
 // head, and an operator that holds data it can never process demands
 // upstream forever.
 //
-// The returned index identifies an input whose head is consumable; inputs
-// holding data tuples are preferred over ones holding only punctuation, so
-// that punctuation is consumed last at a given timestamp and data is never
-// held back behind it.
+// The returned index identifies an input whose head is consumable. A
+// checkpoint barrier (a punctuation with a Ckpt tag) comes first, then data,
+// then other punctuation: data is never held back behind plain punctuation
+// at a timestamp, and a barrier at T is consumed before any data at T, which
+// is what aligns a checkpoint's cut by τ-order alone — every tuple after a
+// barrier on its arc is at or above T, so none is consumed before the last
+// input's barrier.
 func (r *Registers) More(ins []*buffer.Queue) (ok bool, input int, τ tuple.Time) {
 	τ, _ = r.Min()
 	if τ == tuple.MinTime {
@@ -109,17 +126,25 @@ func (r *Registers) More(ins []*buffer.Queue) (ok bool, input int, τ tuple.Time
 		return false, -1, τ
 	}
 	input = -1
+	data := -1
 	for i, q := range ins {
 		head := q.Peek()
 		if head == nil || head.Ts > τ {
 			continue
 		}
-		if !head.IsPunct() {
+		switch {
+		case !head.IsPunct():
+			if data < 0 {
+				data = i
+			}
+		case head.Ckpt != 0:
 			return true, i, τ
-		}
-		if input < 0 {
+		case input < 0:
 			input = i
 		}
+	}
+	if data >= 0 {
+		return true, data, τ
 	}
 	return input >= 0, input, τ
 }

@@ -132,6 +132,22 @@ func TestMorePrefersDataOverPunct(t *testing.T) {
 	}
 }
 
+// A checkpoint barrier at τ goes before data at τ: that tie rule is what
+// aligns a checkpoint's cut by τ-order alone.
+func TestMorePrefersBarrierOverDataAtEqualTs(t *testing.T) {
+	ins := queues("a", "b")
+	r := New(2)
+	ins[0].Push(tuple.NewData(4))
+	barrier := tuple.NewPunct(4)
+	barrier.Ckpt = 1
+	ins[1].Push(barrier)
+	r.Observe(ins)
+	ok, input, τ := r.More(ins)
+	if !ok || input != 1 || τ != 4 {
+		t.Fatalf("more = %v,%d,%v; want barrier input 1 at τ=4", ok, input, τ)
+	}
+}
+
 func TestMorePunctOnlyStillRuns(t *testing.T) {
 	ins := queues("a", "b")
 	r := New(2)
