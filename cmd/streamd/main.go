@@ -102,7 +102,7 @@ func main() {
 	flag.StringVar(&opts.worker, "worker", "", "distributed mode: run a plan-execution worker serving the wire protocol on this address; fragments arrive from a remote coordinator (no -ddl/-q needed)")
 	flag.StringVar(&opts.coordinator, "coordinator", "", "distributed mode: comma-separated worker addresses; cut the query across them, serve feeds on -listen, and collect results locally")
 	flag.IntVar(&opts.distShards, "dist-shards", 0, "distributed mode: partition factor applied before the cut (0 = number of workers)")
-	flag.DurationVar(&opts.linkDelta, "link-delta", 500*time.Millisecond, "distributed mode: skew bound declared for network links (the watchdog's forced-ETS bound on a stalled link)")
+	flag.DurationVar(&opts.linkDelta, "link-delta", 500*time.Millisecond, "distributed mode: skew bound δ declared for network links. Links do not carry demand yet, so a union behind a quiet link waits about δ for each bound; δ is also the watchdog's forced-ETS bound on a stalled link")
 	var ins []input
 	flag.Func("in", "stream=file CSV trace binding (repeatable)", func(v string) error {
 		parts := strings.SplitN(v, "=", 2)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -364,4 +365,77 @@ func TestSinkReadsClockPerBatch(t *testing.T) {
 		t.Fatalf("sink read the clock %d times for %d rows, want ≤ %d (%d wakes)", reads, tuples, limit, wakes)
 	}
 	t.Logf("%d sink clock reads for %d rows in %d batches", reads, tuples, e.BatchesSent())
+}
+
+// A producer that never blocks still gets its tuples through an idle engine
+// on one CPU: Ingest into a fully parked engine yields, so the source, the
+// union, the slow source's on-demand ETS and the sink run before the
+// producer goes on. Without the hand-off only the scheduler's preemption of
+// the spinning producer (every ~10 ms) lets a row through a spin.
+func TestIngestHandsIdleEngineTheCPU(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	const arrivals = 200
+	g, fast, slow, col := buildUnion(t, ops.TSM, tuple.Internal)
+	rows := func() int { return len(col.snapshot()) }
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	waitParked(t, e)
+	during := 0
+	for i := 0; i < arrivals; i++ {
+		before := rows()
+		e.Ingest(fast, tuple.NewData(0, tuple.Int(int64(i))))
+		for end := time.Now().Add(time.Millisecond); time.Now().Before(end); {
+		}
+		if rows() > before {
+			during++
+		}
+	}
+	e.CloseStream(fast)
+	e.CloseStream(slow)
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(); got != arrivals {
+		t.Fatalf("delivered %d rows, want %d", got, arrivals)
+	}
+	if p := e.parked.Load(); p != 0 {
+		t.Errorf("%d nodes still counted as parked after Wait", p)
+	}
+	t.Logf("%d of %d rows reached the sink while the producer spun", during, arrivals)
+	if during < arrivals/3 {
+		t.Errorf("%d of %d rows reached the sink while the producer spun, want at least %d", during, arrivals, arrivals/3)
+	}
+}
+
+// waitParked waits until every node of e sits in an idle select.
+func waitParked(t *testing.T, e *Engine) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); e.parked.Load() != int64(e.NumNodes()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d nodes parked after 5 s", e.parked.Load(), e.NumNodes())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Nodes that leave their idle select through Stop no longer count as
+// parked, so an Ingest after Stop never yields on their behalf.
+func TestStopUncountsParkedNodes(t *testing.T) {
+	g, _, _, _ := buildUnion(t, ops.TSM, tuple.Internal)
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	waitParked(t, e)
+	e.Stop()
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p := e.parked.Load(); p != 0 {
+		t.Errorf("%d nodes still counted as parked after Stop", p)
+	}
 }

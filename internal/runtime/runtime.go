@@ -38,10 +38,20 @@
 // per-tuple Ingest is then one short critical section, and everything a take
 // moves shares one arrival instant, so per-tuple ingest costs about what
 // IngestBatch does.
+//
+// Control follows the tuple into an idle engine. The engine counts the node
+// goroutines parked in their idle selects; when an Ingest, IngestBatch or
+// CloseStream wakes a source while all of them are parked, the caller yields
+// its CPU, so the source and the nodes it readies run at once instead of
+// waiting, queued behind a producer that keeps running, for another CPU to
+// wake and steal them. Under load some node is always busy and producers
+// never yield; yielding on every ring would make a per-tuple producer and a
+// busy engine trade one CPU back and forth.
 package runtime
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,6 +212,10 @@ type Engine struct {
 	errMu       sync.Mutex
 	err         error
 	activeNodes atomic.Int64
+	// parked counts node goroutines blocked in runNode's idle selects; when
+	// it equals len(nodes) the engine is idle and a producer that rings a
+	// source's bell hands it the CPU (handOff).
+	parked atomic.Int64
 
 	etsGenerated atomic.Uint64
 	batchesSent  atomic.Uint64
@@ -271,8 +285,9 @@ type inlet struct {
 // put appends ts as one contiguous run. While the inlet holds tuples and ts
 // would take it past inletCap it waits for a take — a run longer than
 // inletCap is admitted whole into an empty inlet — unless stop closes first,
-// in which case ts is dropped rather than wedging the producer.
-func (in *inlet) put(stop <-chan struct{}, ts ...*tuple.Tuple) {
+// in which case ts is dropped rather than wedging the producer. It reports
+// whether it rang the bell.
+func (in *inlet) put(stop <-chan struct{}, ts ...*tuple.Tuple) bool {
 	in.mu.Lock()
 	for len(in.buf) > 0 && len(in.buf)+len(ts) > inletCap {
 		if in.room == nil {
@@ -283,16 +298,17 @@ func (in *inlet) put(stop <-chan struct{}, ts ...*tuple.Tuple) {
 		select {
 		case <-room:
 		case <-stop:
-			return
+			return false
 		}
 		in.mu.Lock()
 	}
-	in.add(ts)
+	return in.add(ts)
 }
 
 // add appends ts, releases mu (which the caller holds), and rings the bell
-// if the buffer was empty.
-func (in *inlet) add(ts []*tuple.Tuple) {
+// if the buffer was empty. It reports whether the ring went in: a bell that
+// was already rung wakes no one new.
+func (in *inlet) add(ts []*tuple.Tuple) bool {
 	for _, t := range ts {
 		if (in.external || t.IsPunct()) && t.Ts > in.hi && t.Ts != tuple.MaxTime {
 			in.hi = t.Ts
@@ -304,9 +320,11 @@ func (in *inlet) add(ts []*tuple.Tuple) {
 	if ring {
 		select {
 		case in.bell <- struct{}{}:
+			return true
 		default: // already rung
 		}
 	}
+	return false
 }
 
 // take swaps out everything appended so far and wakes producers waiting for
@@ -554,21 +572,26 @@ func (e *Engine) Start() {
 // break the arc's timestamp order. Safe for concurrent use.
 // It blocks while the source's inlet is full (backpressure); if the engine
 // stops or fails while blocked, the tuple is dropped instead of wedging the
-// producer.
+// producer. When the tuple wakes an engine whose every node was idle, the
+// caller gives up its CPU while the engine runs what it just handed in (see
+// handOff).
 func (e *Engine) Ingest(src *ops.Source, raw *tuple.Tuple) {
 	n := e.srcNode[src]
 	if n == nil {
 		panic("runtime: Ingest on a source not in this graph")
 	}
-	n.inlet.put(e.stop, raw)
+	if n.inlet.put(e.stop, raw) {
+		e.handOff()
+	}
 }
 
 // IngestBatch appends a batch of raw tuples to the given source's inlet as
 // one contiguous run, in one critical section. It waits like Ingest, for
 // room for the whole batch; a batch longer than the inlet's capacity is
-// admitted whole once the inlet is empty. The caller keeps ownership of raws
-// (but not of the tuples, which now belong to the stream). Safe for
-// concurrent use.
+// admitted whole once the inlet is empty. Like Ingest, it may give up the
+// caller's CPU while an idle engine runs the batch. The caller keeps
+// ownership of raws (but not of the tuples, which now belong to the stream).
+// Safe for concurrent use.
 func (e *Engine) IngestBatch(src *ops.Source, raws []*tuple.Tuple) {
 	if len(raws) == 0 {
 		return
@@ -577,13 +600,27 @@ func (e *Engine) IngestBatch(src *ops.Source, raws []*tuple.Tuple) {
 	if n == nil {
 		panic("runtime: IngestBatch on a source not in this graph")
 	}
-	n.inlet.put(e.stop, raws...)
+	if n.inlet.put(e.stop, raws...) {
+		e.handOff()
+	}
 }
 
 // CloseStream sends end-of-stream into the named source; once every source
-// is closed, the graph drains and Wait returns.
+// is closed, the graph drains and Wait returns. Like Ingest, it may give up
+// the caller's CPU while an idle engine runs the EOS through.
 func (e *Engine) CloseStream(src *ops.Source) {
 	e.Ingest(src, tuple.EOS())
+}
+
+// handOff follows a ring that went in. If every node is parked, the woken
+// source is all the work the engine has, so the caller yields and the
+// source, and the nodes it readies in turn, run on this CPU at once (see
+// the package doc's Ingest section). Under load some node is busy and nobody
+// yields. A stale count moves latency, never output.
+func (e *Engine) handOff() {
+	if e.parked.Load() == int64(len(e.nodes)) {
+		goruntime.Gosched()
+	}
 }
 
 // drainInlet moves everything producers have appended to a source's inlet
@@ -974,16 +1011,22 @@ func (e *Engine) runNode(n *node) {
 				}
 			}
 			retry.Reset(demandRetry)
+			e.parked.Add(1)
 			select {
 			case pb := <-n.in:
+				e.parked.Add(-1)
 				deliver(pb)
 			case <-n.dem:
+				e.parked.Add(-1)
 				e.handleDemand(n, ctx)
 			case k := <-n.ctl:
+				e.parked.Add(-1)
 				e.handleCtl(n, ctx, k)
 			case <-retry.C:
+				e.parked.Add(-1)
 				// retry the demand on the next iteration
 			case <-e.stop:
+				e.parked.Add(-1)
 				e.exitIdle(n)
 				return
 			}
@@ -991,17 +1034,24 @@ func (e *Engine) runNode(n *node) {
 		}
 		// Block until input, demand, or a watchdog control signal arrives.
 		// (n.in is nil for sources, bell and n.ctl for interior nodes; a
-		// nil case never fires.)
+		// nil case never fires.) Both idle selects count the node as parked
+		// (handOff), and every way out of them uncounts it first.
+		e.parked.Add(1)
 		select {
 		case pb := <-n.in:
+			e.parked.Add(-1)
 			deliver(pb)
 		case <-bell:
+			e.parked.Add(-1)
 			// The drain at the top of the loop takes the inlet.
 		case <-n.dem:
+			e.parked.Add(-1)
 			e.handleDemand(n, ctx)
 		case k := <-n.ctl:
+			e.parked.Add(-1)
 			e.handleCtl(n, ctx, k)
 		case <-e.stop:
+			e.parked.Add(-1)
 			e.exitIdle(n)
 			return
 		}
