@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-join obs-smoke net-smoke dist-smoke fuzz-smoke loc knobs check
+.PHONY: all build vet test race bench bench-smoke bench-join obs-smoke net-smoke dist-smoke examples-smoke fuzz-smoke loc knobs check
 
 all: check
 
@@ -66,6 +66,17 @@ dist-smoke:
 	$(GO) test -race ./internal/dist
 	sh scripts/dist_smoke.sh
 
+# The in-process examples under the race detector, each under a timeout: a
+# non-zero exit fails the target. multiway's three-way union runs the IWP
+# core's n-input path on the concurrent runtime; cqlrepl reads an empty
+# stdin and exits. (netmon and distquery run in net-smoke and dist-smoke.)
+EXAMPLES_SMOKE = quickstart finance multiquery multiway cqlrepl
+examples-smoke:
+	@for ex in $(EXAMPLES_SMOKE); do \
+		echo "examples-smoke: $$ex"; \
+		timeout 300 $(GO) run -race ./examples/$$ex < /dev/null || { echo "examples-smoke: $$ex failed"; exit 1; }; \
+	done
+
 # Short coverage-guided fuzz of the CQL parser, the wire-protocol frame
 # decoder, and the operator-state checkpoint codecs (panic/hang/losslessness
 # on arbitrary input), and a differential fuzz of the CQL expression
@@ -93,4 +104,4 @@ knobs:
 	done
 	@printf 'streamd flags: '; grep -cE 'flag\.(Bool|String|Int|Int64|Duration|Func)(Var)?\(' cmd/streamd/main.go
 
-check: vet build test race bench bench-smoke obs-smoke net-smoke dist-smoke
+check: vet build test race bench bench-smoke obs-smoke net-smoke dist-smoke examples-smoke

@@ -91,7 +91,7 @@ func main() {
 	flag.StringVar(&opts.listen, "listen", "", "network mode: serve the wire-protocol ingest server on this address instead of replaying -in traces (e.g. 127.0.0.1:7433, :0 for ephemeral)")
 	flag.DurationVar(&opts.drainGrace, "drain-grace", 2*time.Second, "network mode: how long SIGINT lets sessions finish before their connections are cut")
 	flag.DurationVar(&opts.srcTimeout, "source-timeout", 0, "network mode: arm the source-liveness watchdog — a silent source has ETS forced after this long (0 disables)")
-	flag.BoolVar(&opts.adaptive, "adaptive", false, "network mode: attach the self-tuning controller (batch sizes, shard tables, probe orders retuned at punctuation boundaries; watch sm_adapt_* in /vars)")
+	flag.BoolVar(&opts.adaptive, "adaptive", false, "network mode: attach the self-tuning controller (batch sizes and shard tables retuned at punctuation boundaries; watch sm_adapt_* in /vars)")
 	flag.BoolVar(&opts.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ on the -metrics address")
 	flag.StringVar(&opts.spanLog, "span-log", "", "network mode: dump the retained punctuation spans as JSONL to this file at shutdown")
 	flag.StringVar(&opts.ckptDir, "ckpt-dir", "", "network mode: checkpoint operator state to this directory on -ckpt-interval (punctuation-aligned barriers)")

@@ -2,17 +2,14 @@
 // periodically reads the engine's live instruments, decides, and issues
 // reconfiguration actions that the runtime applies only at punctuation
 // boundaries — the quiescent points the paper's ETS machinery creates on
-// every arc. Three actuators:
+// every arc. Two actuators:
 //
 //   - batch tuning: per-node batch size is hill-climbed on observed
 //     throughput, with a p95-latency guard that shrinks batches while the
 //     sink-observed p95 exceeds the target;
 //   - shard rebalance: when the splitter bucket loads drift skewed, a new
 //     bucket→shard table (partition.Balance) is installed behind an
-//     event-time barrier and promoted by the punctuation that crosses it;
-//   - join probe reordering: a multiway join's per-input selectivities
-//     order its probe sequence cheapest-first, swapped via the runtime's
-//     apply-at-punctuation protocol.
+//     event-time barrier and promoted by the punctuation that crosses it.
 //
 // The controller only observes concurrency-safe surfaces (atomic counters,
 // swapped tables) and never touches operator state directly: every
@@ -22,7 +19,6 @@
 package adapt
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -32,15 +28,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/tuple"
 )
-
-// minProbeSample is the number of new probes an input must have seen in a
-// tick before its fanout estimate is trusted for reordering.
-const minProbeSample = 32
-
-// probeHysteresis: a proposed probe order is only issued when the input
-// promoted at the first differing position has a fanout at most this
-// fraction of the one it displaces. Prevents flapping on noise.
-const probeHysteresis = 0.8
 
 // rateSettleDiv is the hill climber's settle band, as a divisor: a rate
 // within ±last/rateSettleDiv of the previous tick is a plateau and the
@@ -59,8 +46,6 @@ type Options struct {
 	NoBatchTune bool
 	// NoRebalance disables splitter bucket re-assignment.
 	NoRebalance bool
-	// NoJoinReorder disables multiway-join probe reordering.
-	NoJoinReorder bool
 	// MinBatch/MaxBatch bound the batch-size hill climb (defaults 1 and
 	// 1024).
 	MinBatch, MaxBatch int
@@ -106,12 +91,10 @@ type Controller struct {
 
 	nodes  []*batchTuner
 	groups []*groupTuner
-	joins  []*joinTuner
 
 	ticks        *metrics.Counter64
 	batchRetunes *metrics.Counter64
 	shardRetunes *metrics.Counter64
-	probeRetunes *metrics.Counter64
 	shardApplies *metrics.Counter64
 
 	startOnce sync.Once
@@ -144,18 +127,10 @@ type groupTuner struct {
 	lastAt  time.Time  // wall time of the last issued retarget
 }
 
-// joinTuner watches one multiway join's probe statistics.
-type joinTuner struct {
-	id   int
-	name string
-	j    *ops.MultiJoin
-	prev []ops.ProbeStat
-}
-
 // New builds a controller for e from opts (nil means all defaults). The
 // engine graph is inspected once, here: nodes with out arcs get batch
 // tuners, splitter groups get rebalance state and their OnApply trace
-// hooks, multiway equi-joins get probe tuners.
+// hooks.
 func New(e *runtime.Engine, opts *Options) *Controller {
 	var o Options
 	if opts != nil {
@@ -194,7 +169,6 @@ func New(e *runtime.Engine, opts *Options) *Controller {
 	c.ticks = reg.Counter("sm_adapt_ticks_total")
 	c.batchRetunes = reg.Counter("sm_adapt_batch_retunes_total")
 	c.shardRetunes = reg.Counter("sm_adapt_shard_retunes_total")
-	c.probeRetunes = reg.Counter("sm_adapt_probe_retunes_total")
 	c.shardApplies = reg.Counter("sm_adapt_shard_applies_total")
 
 	for id := 0; id < e.NumNodes(); id++ {
@@ -204,12 +178,6 @@ func New(e *runtime.Engine, opts *Options) *Controller {
 				name: e.NodeName(id),
 				ins:  e.NodeInstruments(id),
 			})
-		}
-		if o.NoJoinReorder {
-			continue
-		}
-		if j, ok := e.NodeOperator(id).(*ops.MultiJoin); ok && j.KeyCols() != nil && j.NumInputs() > 2 {
-			c.joins = append(c.joins, &joinTuner{id: id, name: e.NodeName(id), j: j})
 		}
 	}
 	if !o.NoRebalance {
@@ -273,14 +241,14 @@ func (c *Controller) Stop() {
 func (c *Controller) Interval() time.Duration { return c.interval }
 
 // Decisions reports how many reconfigurations each actuator has issued.
-func (c *Controller) Decisions() (batch, shard, probe uint64) {
-	return c.batchRetunes.Load(), c.shardRetunes.Load(), c.probeRetunes.Load()
+func (c *Controller) Decisions() (batch, shard uint64) {
+	return c.batchRetunes.Load(), c.shardRetunes.Load()
 }
 
 // Retunes reports the total reconfigurations issued across all actuators.
 func (c *Controller) Retunes() uint64 {
-	b, s, p := c.Decisions()
-	return b + s + p
+	b, s := c.Decisions()
+	return b + s
 }
 
 // Step runs one observe→decide pass: every actuator reads its instrument
@@ -296,9 +264,6 @@ func (c *Controller) Step() {
 	now := time.Now()
 	for _, g := range c.groups {
 		c.tuneShards(g, now)
-	}
-	for _, j := range c.joins {
-		c.tuneProbes(j)
 	}
 }
 
@@ -441,71 +406,4 @@ func (c *Controller) tuneShards(g *groupTuner, now time.Time) {
 	if tr := c.e.Tracer(); tr != nil {
 		tr.Emit(metrics.EvRetuneShards, g.g.Name, c.e.Now(), int64(barrier))
 	}
-}
-
-func (c *Controller) tuneProbes(j *joinTuner) {
-	stats := j.j.ProbeStats()
-	prev := j.prev
-	j.prev = stats
-	if prev == nil {
-		return // first tick primes the deltas
-	}
-	n := len(stats)
-	fanout := make([]float64, n)
-	for i := range stats {
-		probes := stats[i].Probes - prev[i].Probes
-		passed := stats[i].Passed - prev[i].Passed
-		if probes < minProbeSample {
-			return // not enough fresh signal on every input this tick
-		}
-		fanout[i] = float64(passed) / float64(probes)
-	}
-	cur := j.j.ProbeOrder()
-	pos := make([]int, n) // input → its position in the current order
-	for p, in := range cur {
-		pos[in] = p
-	}
-	proposed := make([]int, n)
-	copy(proposed, cur)
-	sort.SliceStable(proposed, func(a, b int) bool {
-		fa, fb := fanout[proposed[a]], fanout[proposed[b]]
-		if fa != fb {
-			return fa < fb
-		}
-		return pos[proposed[a]] < pos[proposed[b]] // ties keep current order
-	})
-	firstDiff := -1
-	for p := range proposed {
-		if proposed[p] != cur[p] {
-			firstDiff = p
-			break
-		}
-	}
-	if firstDiff < 0 {
-		return
-	}
-	// Hysteresis: the promoted input must be meaningfully cheaper than the
-	// one it displaces, or noise would flap the order every tick.
-	if fanout[proposed[firstDiff]] > probeHysteresis*fanout[cur[firstDiff]] {
-		return
-	}
-	ord := proposed
-	mj := j.j
-	c.e.Reconfigure(j.id, runtime.Reconfig{
-		Apply: func(ops.Operator) { mj.SetProbeOrder(ord) },
-	})
-	c.probeRetunes.Inc()
-	if tr := c.e.Tracer(); tr != nil {
-		tr.Emit(metrics.EvRetuneProbe, j.name, c.e.Now(), packOrder(ord))
-	}
-}
-
-// packOrder packs a probe order into an int64, one input index per nibble,
-// position 0 in the lowest nibble — readable straight off the trace line.
-func packOrder(ord []int) int64 {
-	var v int64
-	for p := len(ord) - 1; p >= 0; p-- {
-		v = v<<4 | int64(ord[p]&0xf)
-	}
-	return v
 }

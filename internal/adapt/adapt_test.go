@@ -12,7 +12,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/runtime"
 	"repro/internal/tuple"
-	"repro/internal/window"
 )
 
 func intSchema(name string) *tuple.Schema {
@@ -100,7 +99,7 @@ func TestBatchClimbIssuesAndApplies(t *testing.T) {
 	want += 100
 	waitFor(t, "second burst", func() bool { return got.Load() == want })
 	c.Step() // first loaded tick: probes upward, 8 → 16
-	if b, _, _ := c.Decisions(); b != 1 {
+	if b, _ := c.Decisions(); b != 1 {
 		t.Fatalf("loaded tick issued %d batch retunes, want 1", b)
 	}
 	if tr.Count(metrics.EvRetuneBatch) != 1 {
@@ -258,7 +257,7 @@ func hotKeys(shards, n int) []int64 {
 func TestShardRebalanceAtBarrier(t *testing.T) {
 	tr := metrics.NewTracer(256)
 	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &Options{NoBatchTune: true, NoJoinReorder: true})
+	c := New(e, &Options{NoBatchTune: true})
 
 	s := ops.NewSplit("sp", nil, 2, 0)
 	d := newSplitDriver(s)
@@ -277,7 +276,7 @@ func TestShardRebalanceAtBarrier(t *testing.T) {
 	d.run()
 
 	c.Step()
-	if _, sh, _ := c.Decisions(); sh != 1 {
+	if _, sh := c.Decisions(); sh != 1 {
 		t.Fatalf("skewed load issued %d shard retunes, want 1", sh)
 	}
 	if !s.RetargetPending() {
@@ -289,7 +288,7 @@ func TestShardRebalanceAtBarrier(t *testing.T) {
 
 	// While the barrier is in flight, no second decision may stack.
 	c.Step()
-	if _, sh, _ := c.Decisions(); sh != 1 {
+	if _, sh := c.Decisions(); sh != 1 {
 		t.Fatal("controller stacked a retarget on a pending barrier")
 	}
 
@@ -328,90 +327,8 @@ func TestShardRebalanceAtBarrier(t *testing.T) {
 	}
 	d.run()
 	c.Step()
-	if _, sh, _ := c.Decisions(); sh != 1 {
+	if _, sh := c.Decisions(); sh != 1 {
 		t.Fatal("rebalance issued inside the cooldown window")
-	}
-}
-
-func TestProbeReorderCheapestFirst(t *testing.T) {
-	tr := metrics.NewTracer(64)
-	e, _, _, _ := buildPipeline(t, runtime.Options{Trace: tr})
-	c := New(e, &Options{NoBatchTune: true, NoRebalance: true})
-
-	j := ops.NewMultiEquiJoin("mj", nil, window.TimeWindow(100000), 0, 0, 0)
-	jt := &joinTuner{id: -1, name: "mj", j: j} // id -1: decision only, no live node
-
-	ins := make([]*buffer.Queue, 3)
-	for i := range ins {
-		ins[i] = buffer.New("in")
-	}
-	ctx := &ops.Ctx{
-		Ins:  ins,
-		Emit: func(*tuple.Tuple) {},
-		Now:  func() tuple.Time { return 0 },
-	}
-	feed := func(n int, start tuple.Time) tuple.Time {
-		ts := start
-		for i := 0; i < n; i++ {
-			// Inputs 0 and 1 hold key 1 (always match); input 2 holds key
-			// 99 (never matches) — its fanout is exactly zero.
-			ins[0].Push(tuple.NewData(ts, tuple.Int(1)))
-			ins[1].Push(tuple.NewData(ts, tuple.Int(1)))
-			ins[2].Push(tuple.NewData(ts, tuple.Int(99)))
-			ts++
-		}
-		for i := range ins {
-			ins[i].Push(tuple.NewPunct(ts))
-		}
-		ts++
-		for j.More(ctx) {
-			j.Exec(ctx)
-		}
-		return ts
-	}
-
-	ts := feed(40, 1)
-	c.tuneProbes(jt) // primes the per-input deltas
-	if _, _, p := c.Decisions(); p != 0 {
-		t.Fatal("priming tick issued a probe retune")
-	}
-	feed(40, ts)
-	c.tuneProbes(jt)
-	if _, _, p := c.Decisions(); p != 1 {
-		t.Fatalf("probe retunes = %d, want 1", p)
-	}
-	if tr.Count(metrics.EvRetuneProbe) != 1 {
-		t.Fatal("no EvRetuneProbe trace event")
-	}
-	var packed int64 = -1
-	for _, ev := range tr.Recent(16) {
-		if ev.Kind == metrics.EvRetuneProbe {
-			packed = ev.Value
-		}
-	}
-	if packed&0xf != 2 {
-		t.Errorf("proposed order %#x does not probe the empty-fanout input first", packed)
-	}
-}
-
-func TestProbeReorderNeedsSamples(t *testing.T) {
-	e, _, _, _ := buildPipeline(t, runtime.Options{})
-	c := New(e, &Options{})
-	j := ops.NewMultiEquiJoin("mj", nil, window.TimeWindow(1000), 0, 0, 0)
-	jt := &joinTuner{id: -1, name: "mj", j: j}
-	c.tuneProbes(jt)
-	c.tuneProbes(jt) // zero probes since priming: below minProbeSample
-	if _, _, p := c.Decisions(); p != 0 {
-		t.Fatalf("probe retune issued with no samples (%d)", p)
-	}
-}
-
-func TestPackOrder(t *testing.T) {
-	if v := packOrder([]int{2, 0, 1}); v != 0x102 {
-		t.Errorf("packOrder([2 0 1]) = %#x, want 0x102", v)
-	}
-	if v := packOrder([]int{0, 1, 2, 3}); v != 0x3210 {
-		t.Errorf("packOrder([0 1 2 3]) = %#x, want 0x3210", v)
 	}
 }
 

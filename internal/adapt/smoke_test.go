@@ -167,7 +167,7 @@ func TestAdaptiveSmoke(t *testing.T) {
 	for _, ns := range snap.Nodes {
 		nodeRetunes += ns.Retunes
 	}
-	batchRetunes, shardRetunes, _ := ctl.Decisions()
+	batchRetunes, shardRetunes := ctl.Decisions()
 	shardApplies := ctl.shardApplies.Load()
 	if got := rows.Load(); got != uint64(per) {
 		t.Errorf("join produced %d rows, want %d", got, per)

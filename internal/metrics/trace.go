@@ -72,9 +72,6 @@ const (
 	// EvRetuneShards: the controller issued a splitter re-assignment;
 	// Value is the punctuation barrier timestamp the swap is fenced on.
 	EvRetuneShards
-	// EvRetuneProbe: the controller reordered a multiway join's probe
-	// sequence; Value packs the new order (input index per nibble).
-	EvRetuneProbe
 	// EvRetuneApplied: a node observed a pending reconfiguration at a
 	// punctuation boundary and applied it; Value is the punctuation
 	// timestamp at the apply point (the quiescence witness).
@@ -140,8 +137,6 @@ func (k EventKind) String() string {
 		return "RetuneBatch"
 	case EvRetuneShards:
 		return "RetuneShards"
-	case EvRetuneProbe:
-		return "RetuneProbe"
 	case EvRetuneApplied:
 		return "RetuneApplied"
 	case EvCkptBarrier:

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/tuple"
-	"repro/internal/window"
 )
 
 func shardOf(h *splitHarness, key int64) int {
@@ -119,95 +118,5 @@ func TestSplitBucketLoadsAndMaxTs(t *testing.T) {
 	}
 	if s.MaxTs() != 9 {
 		t.Fatalf("MaxTs = %d, want 9", s.MaxTs())
-	}
-}
-
-// feedMultiJoin drives a 3-way equi-join through the shared harness and
-// returns the emitted data rows.
-func feedMultiJoin(j *MultiJoin, rows [][3]int64) []*tuple.Tuple {
-	h := newHarness(j)
-	for _, r := range rows {
-		for in := 0; in < 3; in++ {
-			h.ins[in].Push(tuple.NewData(tuple.Time(r[in]), tuple.Int(r[in])))
-		}
-	}
-	for in := 0; in < 3; in++ {
-		h.ins[in].Push(tuple.NewPunct(1000))
-	}
-	h.run()
-	var data []*tuple.Tuple
-	for _, t := range h.out {
-		if !t.IsPunct() {
-			data = append(data, t)
-		}
-	}
-	return data
-}
-
-func TestMultiJoinProbeOrderPreservesOutput(t *testing.T) {
-	rows := [][3]int64{{1, 1, 1}, {2, 2, 2}, {3, 3, 3}, {2, 3, 1}}
-	mk := func() *MultiJoin {
-		return NewMultiEquiJoin("mj", nil, window.TimeWindow(100), 0, 0, 0)
-	}
-	base := feedMultiJoin(mk(), rows)
-
-	j := mk()
-	if !j.SetProbeOrder([]int{2, 0, 1}) {
-		t.Fatal("valid probe order rejected")
-	}
-	got := feedMultiJoin(j, rows)
-	if len(got) != len(base) {
-		t.Fatalf("reordered join emitted %d rows, natural order %d", len(got), len(base))
-	}
-	for i := range got {
-		if len(got[i].Vals) != len(base[i].Vals) {
-			t.Fatalf("row %d arity differs", i)
-		}
-		for c := range got[i].Vals {
-			if !got[i].Vals[c].Equal(base[i].Vals[c]) {
-				t.Fatalf("row %d col %d: %v vs %v", i, c, got[i].Vals[c], base[i].Vals[c])
-			}
-		}
-	}
-}
-
-func TestMultiJoinProbeOrderValidation(t *testing.T) {
-	j := NewMultiEquiJoin("mj", nil, window.TimeWindow(100), 0, 0, 0)
-	for _, bad := range [][]int{{0, 1}, {0, 1, 1}, {0, 1, 3}, {-1, 1, 2}} {
-		if j.SetProbeOrder(bad) {
-			t.Errorf("invalid order %v accepted", bad)
-		}
-	}
-	ord := j.ProbeOrder()
-	if len(ord) != 3 || ord[0] != 0 || ord[1] != 1 || ord[2] != 2 {
-		t.Fatalf("default probe order = %v", ord)
-	}
-	j.SetProbeOrder([]int{1, 2, 0})
-	ord = j.ProbeOrder()
-	if ord[0] != 1 || ord[1] != 2 || ord[2] != 0 {
-		t.Fatalf("probe order after set = %v", ord)
-	}
-}
-
-func TestMultiJoinProbeStats(t *testing.T) {
-	j := NewMultiEquiJoin("mj", nil, window.TimeWindow(100), 0, 0, 0)
-	// Input 1's window will hold matching keys; input 2's never matches.
-	h := newHarness(j)
-	h.ins[1].Push(tuple.NewData(1, tuple.Int(1)))
-	h.ins[2].Push(tuple.NewData(1, tuple.Int(99)))
-	h.ins[0].Push(tuple.NewData(2, tuple.Int(1)))
-	for in := 0; in < 3; in++ {
-		h.ins[in].Push(tuple.NewPunct(10))
-	}
-	h.run()
-	st := j.ProbeStats()
-	if st[1].Visits == 0 {
-		t.Fatal("no visits recorded on input 1")
-	}
-	if st[1].Passed == 0 {
-		t.Error("matching candidate on input 1 not counted as passed")
-	}
-	if st[2].Passed != 0 {
-		t.Errorf("mismatching input 2 counted %d passed", st[2].Passed)
 	}
 }

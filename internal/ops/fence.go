@@ -3,7 +3,6 @@ package ops
 import (
 	"sync/atomic"
 
-	"repro/internal/tsm"
 	"repro/internal/tuple"
 )
 
@@ -64,59 +63,4 @@ func FenceAt(max, lead tuple.Time) tuple.Time {
 		lead = 1
 	}
 	return max + lead
-}
-
-// cut counts one checkpoint's barriers at a multi-input TSM operator. That
-// is all alignment takes: every barrier of a checkpoint carries the same T,
-// nothing after a barrier on its arc is below T, and tsm.Registers.More
-// takes a barrier before data at an equal timestamp, so τ-order consumes
-// every input's pre-cut tuples, then the barriers, then the post-cut ones.
-type cut struct {
-	id uint64
-	n  int
-}
-
-// arrive counts a barrier popped from one of inputs inputs and reports
-// whether it was the checkpoint's last. A newer id restarts the count (the
-// older checkpoint was abandoned); an older id's barrier counts for nothing.
-func (c *cut) arrive(id uint64, inputs int) bool {
-	switch {
-	case id > c.id:
-		c.id, c.n = id, 0
-	case id < c.id:
-		return false
-	}
-	c.n++
-	return c.n == inputs
-}
-
-// passBarrier handles a popped punctuation t at a multi-input TSM operator:
-// when t is the last barrier of its checkpoint it snapshots the operator
-// (Ctx.OnBarrier) with its registers capped at t.Ts (tsm.Registers.Cap) and
-// forwards one barrier at t.Ts, raising the operator's output watermark and
-// punctuation count. It reports whether it emitted.
-func passBarrier(ctx *Ctx, c *cut, regs *tsm.Registers, t *tuple.Tuple, watermark *tuple.Time, punctOut *uint64) bool {
-	if t.Ckpt == 0 || !c.arrive(t.Ckpt, len(ctx.Ins)) {
-		return false
-	}
-	regs.Cap(t.Ts)
-	if t.Ts > *watermark {
-		*watermark = t.Ts
-	}
-	*punctOut++
-	ctx.barrier(t.Ckpt, t.Ts)
-	p := tuple.GetPunct(t.Ts)
-	p.Ckpt = t.Ckpt
-	ctx.Emit(p)
-	return true
-}
-
-// plainPunct returns t untagged, for an operator forwarding consumed
-// punctuation as is (DedupPunct off): its one barrier leaves by passBarrier.
-// It copies rather than clears the tag, since another arc may share t.
-func plainPunct(t *tuple.Tuple) *tuple.Tuple {
-	if t.Ckpt == 0 {
-		return t
-	}
-	return tuple.GetPunct(t.Ts)
 }

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"repro/internal/tsm"
 	"repro/internal/tuple"
 	"repro/internal/window"
 )
@@ -32,9 +31,8 @@ func CrossJoin() JoinPred { return func(_, _ *tuple.Tuple) bool { return true } 
 // opposite-window state* — the memory-saving effect the paper measures.
 type WindowJoin struct {
 	base
-	mode IWPMode
+	iwp
 	pred JoinPred
-	regs *tsm.Registers
 	win  [2]*window.Store
 
 	// hashed equi-join state: when keyCols is set, hwin replaces win and
@@ -50,14 +48,18 @@ type WindowJoin struct {
 	// operator is single-owner, executed by one node goroutine at a time.
 	mag tuple.Magazine
 
-	// DedupPunct is as for Union.
-	DedupPunct bool
-	watermark  tuple.Time
-	cut        cut // checkpoint barriers popped so far (TSM mode)
-
-	dataOut  uint64
-	punctOut uint64
 	consumed [2]uint64
+}
+
+// newWindowJoin builds the join's shared part. A punctuation consumed on
+// one side expires the opposite window (Figure 6, last production rule).
+func newWindowJoin(name string, schema *tuple.Schema, mode IWPMode) *WindowJoin {
+	j := &WindowJoin{
+		base: base{name: name, inputs: 2, schema: schema},
+		iwp:  newIWP(2, mode),
+	}
+	j.onPunct = func(side int, ts tuple.Time) { j.expireSide(1-side, ts) }
+	return j
 }
 
 // NewWindowJoin builds a binary symmetric window join with a nested-loop
@@ -66,18 +68,10 @@ func NewWindowJoin(name string, schema *tuple.Schema, spec window.Spec, pred Joi
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("join %s: %v", name, err))
 	}
-	j := &WindowJoin{
-		base:       base{name: name, inputs: 2, schema: schema},
-		mode:       mode,
-		pred:       pred,
-		DedupPunct: true,
-		watermark:  tuple.MinTime,
-	}
+	j := newWindowJoin(name, schema, mode)
+	j.pred = pred
 	j.win[0] = window.NewStore(spec)
 	j.win[1] = window.NewStore(spec)
-	if mode == TSM {
-		j.regs = tsm.New(2)
-	}
 	return j
 }
 
@@ -92,20 +86,10 @@ func NewHashWindowJoin(name string, schema *tuple.Schema, specL, specR window.Sp
 	if err := specR.Validate(); err != nil {
 		panic(fmt.Sprintf("join %s: right %v", name, err))
 	}
-	j := &WindowJoin{
-		base:       base{name: name, inputs: 2, schema: schema},
-		mode:       mode,
-		hashed:     true,
-		hasKeys:    true,
-		keyCols:    [2]int{leftCol, rightCol},
-		DedupPunct: true,
-		watermark:  tuple.MinTime,
-	}
+	j := newWindowJoin(name, schema, mode)
+	j.hashed, j.hasKeys, j.keyCols = true, true, [2]int{leftCol, rightCol}
 	j.hwin[0] = window.NewHashStore(specL, leftCol)
 	j.hwin[1] = window.NewHashStore(specR, rightCol)
-	if mode == TSM {
-		j.regs = tsm.New(2)
-	}
 	return j
 }
 
@@ -122,20 +106,11 @@ func NewEquiWindowJoin(name string, schema *tuple.Schema, specL, specR window.Sp
 	if err := specR.Validate(); err != nil {
 		panic(fmt.Sprintf("join %s: right %v", name, err))
 	}
-	j := &WindowJoin{
-		base:       base{name: name, inputs: 2, schema: schema},
-		mode:       mode,
-		pred:       EquiJoin(leftCol, rightCol),
-		hasKeys:    true,
-		keyCols:    [2]int{leftCol, rightCol},
-		DedupPunct: true,
-		watermark:  tuple.MinTime,
-	}
+	j := newWindowJoin(name, schema, mode)
+	j.pred = EquiJoin(leftCol, rightCol)
+	j.hasKeys, j.keyCols = true, [2]int{leftCol, rightCol}
 	j.win[0] = window.NewStore(specL)
 	j.win[1] = window.NewStore(specR)
-	if mode == TSM {
-		j.regs = tsm.New(2)
-	}
 	return j
 }
 
@@ -156,9 +131,6 @@ func (j *WindowJoin) sideLen(i int) int {
 	return j.win[i].Len()
 }
 
-// Mode reports the join's execution mode.
-func (j *WindowJoin) Mode() IWPMode { return j.mode }
-
 // Window exposes the window store of side i (0 = left, 1 = right); it is
 // nil for hash joins (use HashWindow).
 func (j *WindowJoin) Window(i int) *window.Store { return j.win[i] }
@@ -171,121 +143,19 @@ func (j *WindowJoin) HashWindow(i int) *window.HashStore { return j.hwin[i] }
 // store kind.
 func (j *WindowJoin) WindowLen(i int) int { return j.sideLen(i) }
 
-// DataEmitted reports the number of joined tuples emitted.
-func (j *WindowJoin) DataEmitted() uint64 { return j.dataOut }
-
-// PunctEmitted reports the number of punctuation tuples emitted.
-func (j *WindowJoin) PunctEmitted() uint64 { return j.punctOut }
-
 // Consumed reports the number of data tuples consumed from side i.
 func (j *WindowJoin) Consumed(i int) uint64 { return j.consumed[i] }
 
-// Watermark reports the highest bound the join has conveyed downstream
-// (MinTime before the first punctuation) — the overlay's live progress mark.
-func (j *WindowJoin) Watermark() tuple.Time { return j.watermark }
-
-// More implements the mode's `more` condition.
-func (j *WindowJoin) More(ctx *Ctx) bool {
-	switch j.mode {
-	case Basic:
-		return allNonEmpty(ctx.Ins)
-	case TSM:
-		j.regs.Observe(ctx.Ins)
-		ok, _, _ := j.regs.More(ctx.Ins)
-		return ok
-	default:
-		return anyNonEmpty(ctx.Ins) >= 0
-	}
-}
-
-// BlockingInput identifies the input to backtrack into when More is false.
-func (j *WindowJoin) BlockingInput(ctx *Ctx) int {
-	switch j.mode {
-	case Basic:
-		return firstEmpty(ctx.Ins)
-	case TSM:
-		j.regs.Observe(ctx.Ins)
-		if ok, _, _ := j.regs.More(ctx.Ins); ok {
-			return -1
-		}
-		return j.regs.BlockingInput(ctx.Ins)
-	default:
-		return -1
-	}
-}
-
 // Exec performs one production/consumption step per the mode's rules.
 func (j *WindowJoin) Exec(ctx *Ctx) bool {
-	switch j.mode {
-	case Basic:
-		return j.execBasic(ctx)
-	case TSM:
-		return j.execTSM(ctx)
-	default:
+	if j.mode == LatentMode {
 		return j.execLatent(ctx)
 	}
-}
-
-func (j *WindowJoin) execBasic(ctx *Ctx) bool {
-	if !allNonEmpty(ctx.Ins) {
-		return false
-	}
-	// The side whose head has the smaller (or equal) timestamp produces
-	// (Figure 1; ties broken toward side 0, which the paper allows: the
-	// order of simultaneous tuples is nondeterministic).
-	side := 0
-	if ctx.Ins[1].Peek().Ts < ctx.Ins[0].Peek().Ts {
-		side = 1
-	}
-	t := ctx.Ins[side].Pop()
-	if t.IsPunct() {
-		return false
+	t, side, yield := j.step(ctx)
+	if t == nil {
+		return yield
 	}
 	return j.produce(ctx, side, t)
-}
-
-func (j *WindowJoin) execTSM(ctx *Ctx) bool {
-	j.regs.Observe(ctx.Ins)
-	ok, side, τ := j.regs.More(ctx.Ins)
-	if !ok {
-		return false
-	}
-	t := ctx.Ins[side].Pop()
-	if !t.IsPunct() {
-		if τ > j.watermark {
-			j.watermark = τ
-		}
-		return j.produce(ctx, side, t)
-	}
-	yield := passBarrier(ctx, &j.cut, j.regs, t, &j.watermark, &j.punctOut)
-	return j.punctStep(ctx, side, t) || yield
-}
-
-// punctStep runs the TSM punctuation rule for a consumed punctuation with
-// timestamp t.Ts on side: nothing joinable on the opposite side below t.Ts
-// remains possible, so expire state and propagate the bound (Figure 6, last
-// production rule).
-func (j *WindowJoin) punctStep(ctx *Ctx, side int, t *tuple.Tuple) bool {
-	j.expireSide(1-side, t.Ts)
-	j.regs.Observe(ctx.Ins)
-	bound, _ := j.regs.Min()
-	if !j.DedupPunct {
-		j.punctOut++
-		ctx.Emit(plainPunct(t))
-		return true
-	}
-	if bound > j.watermark && bound != tuple.MaxTime {
-		j.watermark = bound
-		j.punctOut++
-		ctx.Emit(tuple.GetPunct(bound))
-		return true
-	}
-	if t.IsEOS() && j.regs.Get(0) == tuple.MaxTime && j.regs.Get(1) == tuple.MaxTime {
-		j.punctOut++
-		ctx.Emit(tuple.EOS())
-		return true
-	}
-	return false // absorbed: the bound did not advance
 }
 
 func (j *WindowJoin) execLatent(ctx *Ctx) bool {

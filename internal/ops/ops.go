@@ -15,6 +15,14 @@
 //   - Latent: for latent-timestamp streams (§5) tuples pass through in
 //     arrival order with no timestamp checks — the idle-waiting-free lower
 //     bound the paper measures scenario D against.
+//
+// An IWP operator is one shared core plus its production rule. The core
+// (iwp.go) holds the mode, the TSM registers, the output watermark and the
+// checkpoint cut, and runs the `more` condition, the blocking input, the
+// Basic and TSM consumption step and punctuation propagation. Union and
+// WindowJoin embed it and keep only what a popped data tuple produces (the
+// union emits it, the join probes and inserts) and their latent-mode step;
+// the join also expires its opposite window on a consumed punctuation.
 package ops
 
 import (

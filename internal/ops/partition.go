@@ -100,25 +100,6 @@ func (j *WindowJoin) NewShard(s, p int) Operator {
 	return sh
 }
 
-// PartitionKeys: a multiway join partitions when it was built with known
-// equi-join columns (NewMultiEquiJoin) over pure time-span windows.
-func (j *MultiJoin) PartitionKeys() ([]int, bool) {
-	if j.keyCols == nil {
-		return nil, false
-	}
-	if !timePartitionable(j.wins[0].Spec()) {
-		return nil, false
-	}
-	return append([]int(nil), j.keyCols...), true
-}
-
-// NewShard returns an empty-state multiway equi-join shard.
-func (j *MultiJoin) NewShard(s, p int) Operator {
-	sh := NewMultiEquiJoin(shardName(j.name, s), j.schema, j.wins[0].Spec(), j.keyCols...)
-	sh.DedupPunct = j.DedupPunct
-	return sh
-}
-
 // PartitionKeys: a grouped aggregate partitions by its group column — each
 // group's accumulators live wholly in one shard, so per-shard results equal
 // the global results restricted to the shard's groups. A global aggregate

@@ -26,9 +26,6 @@ func TestPartitionKeysMatrix(t *testing.T) {
 		{"basic equi join", NewEquiWindowJoin("j", nil, span, span, 0, 0, Basic), nil, false},
 		{"opaque-pred join", NewWindowJoin("j", nil, span, CrossJoin(), TSM), nil, false},
 		{"row-window join", NewHashWindowJoin("j", nil, rows, rows, 0, 1, TSM), nil, false},
-		{"multi equi join", NewMultiEquiJoin("mj", nil, span, 0, 1, 0), []int{0, 1, 0}, true},
-		{"opaque multijoin", NewMultiJoin("mj", nil, 3, span, MultiEquiJoin(0, 0, 0)), nil, false},
-		{"row-window multi", NewMultiEquiJoin("mj", nil, rows, 0, 1), nil, false},
 		{"grouped aggregate", NewAggregate("a", nil, 10, 1, AggSpec{Fn: Count}), []int{1}, true},
 		{"global aggregate", NewAggregate("a", nil, 10, -1, AggSpec{Fn: Count}), nil, false},
 	}
@@ -84,12 +81,6 @@ func TestNewShardClonesConfiguration(t *testing.T) {
 	as := a.NewShard(1, 2).(*Aggregate)
 	if as.Name() != "a#1" || as.width != 10 || as.slide != 5 || as.groupCol != 0 {
 		t.Errorf("aggregate shard config: %+v", as)
-	}
-
-	mj := NewMultiEquiJoin("mj", nil, span, 0, 1, 0)
-	ms := mj.NewShard(3, 4).(*MultiJoin)
-	if ms.Name() != "mj#3" || len(ms.keyCols) != 3 || ms.Window(0) == mj.Window(0) {
-		t.Errorf("multijoin shard config: %v", ms)
 	}
 }
 

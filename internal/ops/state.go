@@ -28,7 +28,7 @@ const (
 	stateSink
 	stateUnion
 	stateJoin
-	stateMultiJoin
+	_ // retired: the n-way join's segment
 	stateAggregate
 	stateReorder
 	stateSplit
@@ -261,94 +261,6 @@ func (j *WindowJoin) RestoreState(dec *ckpt.Decoder) error {
 	j.watermark = watermark
 	j.dataOut, j.punctOut = dataOut, punctOut
 	j.consumed[0], j.consumed[1] = consumed0, consumed1
-	return nil
-}
-
-// --- MultiJoin ---
-
-// SaveState encodes the n-way join's shape, probe order and evidence,
-// watermark, counters, registers, and every window.
-func (j *MultiJoin) SaveState(enc *ckpt.Encoder) {
-	n := len(j.wins)
-	enc.U8(stateMultiJoin)
-	enc.Uvarint(uint64(n))
-	enc.Bool(j.keyCols != nil)
-	for _, c := range j.keyCols {
-		enc.I64(int64(c))
-	}
-	enc.Time(j.watermark)
-	enc.Uvarint(j.dataOut)
-	enc.Uvarint(j.punctOut)
-	ord := j.order.Load()
-	enc.Bool(ord != nil)
-	if ord != nil {
-		for _, i := range *ord {
-			enc.Uvarint(uint64(i))
-		}
-	}
-	for i := 0; i < n; i++ {
-		enc.Uvarint(j.probes[i].Load())
-		enc.Uvarint(j.visits[i].Load())
-		enc.Uvarint(j.passed[i].Load())
-	}
-	for i := 0; i < n; i++ {
-		enc.Time(j.regs.Get(i))
-	}
-	for _, w := range j.wins {
-		w.SaveState(enc)
-	}
-}
-
-// RestoreState rebuilds the n-way join from dec.
-func (j *MultiJoin) RestoreState(dec *ckpt.Decoder) error {
-	n := len(j.wins)
-	if k := dec.U8(); k != stateMultiJoin {
-		return shapeErr("multijoin %s: payload kind %d", j.name, k)
-	}
-	if sn := dec.Uvarint(); dec.Err() == nil && sn != uint64(n) {
-		return shapeErr("multijoin %s: saved %d inputs, have %d", j.name, sn, n)
-	}
-	if hasKeys := dec.Bool(); dec.Err() == nil && hasKeys != (j.keyCols != nil) {
-		return shapeErr("multijoin %s: key-column presence mismatch", j.name)
-	}
-	for _, c := range j.keyCols {
-		if sc := dec.I64(); dec.Err() == nil && sc != int64(c) {
-			return shapeErr("multijoin %s: key column mismatch", j.name)
-		}
-	}
-	watermark := dec.Time()
-	dataOut := dec.Uvarint()
-	punctOut := dec.Uvarint()
-	if hasOrd := dec.Bool(); hasOrd {
-		ord := make([]int, n)
-		for i := range ord {
-			ord[i] = int(dec.Uvarint())
-		}
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		if !j.SetProbeOrder(ord) {
-			return shapeErr("multijoin %s: invalid saved probe order", j.name)
-		}
-	}
-	for i := 0; i < n; i++ {
-		j.probes[i].Store(dec.Uvarint())
-		j.visits[i].Store(dec.Uvarint())
-		j.passed[i].Store(dec.Uvarint())
-	}
-	for i := 0; i < n; i++ {
-		j.regs.Set(i, dec.Time())
-	}
-	for _, w := range j.wins {
-		if err := w.RestoreState(dec); err != nil {
-			return err
-		}
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	j.watermark = watermark
-	j.dataOut, j.punctOut = dataOut, punctOut
 	return nil
 }
 

@@ -46,15 +46,17 @@ func stateFuzzPanel() []func() Stateful {
 			return u
 		},
 		func() Stateful {
+			u := NewUnion("ul", nil, 3, LatentMode) // no registers
+			u.rr, u.dataOut = 2, 7
+			return u
+		},
+		func() Stateful {
 			j := NewWindowJoin("j", nil, window.Spec{Rows: 4}, EquiJoin(0, 0), TSM)
 			j.watermark = 30
 			return j
 		},
 		func() Stateful {
 			return NewHashWindowJoin("hj", nil, window.Spec{Rows: 4}, window.Spec{Span: 16}, 0, 0, TSM)
-		},
-		func() Stateful {
-			return NewMultiEquiJoin("mj", nil, window.Spec{Rows: 4}, 0, 0, 0)
 		},
 		func() Stateful {
 			a := NewSlidingAggregate("agg", nil, 10, 5, 0,

@@ -1,10 +1,10 @@
 // Package partition implements the data-parallel graph rewrite: given a
 // query graph and a shard count P, it replicates every partitionable
-// stateful operator (hash/equi window join, multiway equi-join, grouped
-// aggregate, TSM union) into P shards, inserts a hash-partitioning Split on
-// each input arc, and re-joins the shard outputs through a min-watermark
-// Merge, so that downstream consumers see the same timestamp-ordered,
-// punctuation-correct stream as the unsharded operator.
+// stateful operator (hash/equi window join, grouped aggregate, TSM union)
+// into P shards, inserts a hash-partitioning Split on each input arc, and
+// re-joins the shard outputs through a min-watermark Merge, so that
+// downstream consumers see the same timestamp-ordered, punctuation-correct
+// stream as the unsharded operator.
 //
 // The rewrite is semantics-preserving because of three invariants:
 //

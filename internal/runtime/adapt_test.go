@@ -14,13 +14,19 @@ import (
 
 // probeOp is a pass-through operator that tracks, from the operator's own
 // point of view, how many data tuples it has emitted since its last emitted
-// punctuation. A Reconfig.Apply hook runs on the same goroutine, so it can
-// read sincePunct directly: nonzero at apply time means the reconfiguration
-// was observed between a batch and its bounding punctuation — the exact
-// violation the apply-at-punctuation protocol must make impossible.
+// punctuation. It also reads its node's live batch size at the top of every
+// Exec: the node applies a reconfiguration on this goroutine between two
+// Execs, so a changed size is an apply, and sincePunct still holds what the
+// previous Exec left. Nonzero there means the reconfiguration landed
+// between a batch and its bounding punctuation — the exact violation the
+// apply-at-punctuation protocol must make impossible.
 type probeOp struct {
 	name       string
 	sincePunct int // node-goroutine owned
+
+	batchSize func() int           // the node's live batch size; set before Start
+	lastBatch int                  // the size the previous Exec saw
+	onApply   func(sincePunct int) // called on each observed batch-size swap
 }
 
 func (p *probeOp) Name() string               { return p.name }
@@ -29,6 +35,10 @@ func (p *probeOp) OutSchema() *tuple.Schema   { return nil }
 func (p *probeOp) More(ctx *ops.Ctx) bool     { return !ctx.Ins[0].Empty() }
 func (p *probeOp) BlockingInput(*ops.Ctx) int { return 0 }
 func (p *probeOp) Exec(ctx *ops.Ctx) bool {
+	if bs := p.batchSize(); bs != p.lastBatch {
+		p.lastBatch = bs
+		p.onApply(p.sincePunct)
+	}
 	t := ctx.Ins[0].Pop()
 	if t == nil {
 		return false
@@ -44,37 +54,34 @@ func (p *probeOp) Exec(ctx *ops.Ctx) bool {
 
 var _ ops.Operator = (*probeOp)(nil)
 
-func buildProbePipeline(t *testing.T, opts Options) (*Engine, *ops.Source, *probeOp, int, *collector) {
+func buildProbePipeline(t *testing.T, opts Options, onApply func(sincePunct int)) (*Engine, *ops.Source, *probeOp, int) {
 	t.Helper()
 	g := graph.New("adapt")
 	sch := intSchema("s", tuple.External)
 	src := ops.NewSource("src", sch, 0)
 	sid := g.AddNode(src)
-	probe := &probeOp{name: "probe"}
-	pid := g.AddNode(probe, sid)
+	probe := &probeOp{name: "probe", onApply: onApply}
+	pid := int(g.AddNode(probe, sid))
 	col := &collector{}
-	g.AddNode(ops.NewSink("sink", col.add), pid)
+	g.AddNode(ops.NewSink("sink", col.add), graph.NodeID(pid))
 	e, err := New(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, src, probe, int(pid), col
+	probe.batchSize = func() int { return e.NodeBatchSize(pid) }
+	probe.lastBatch = e.NodeBatchSize(pid)
+	return e, src, probe, pid
 }
 
 func TestReconfigureAppliesAtNextBoundary(t *testing.T) {
 	tr := metrics.NewTracer(256)
-	e, src, _, pid, _ := buildProbePipeline(t, Options{BatchSize: 8, Trace: tr})
+	applied := make(chan int, 1)
+	e, src, _, pid := buildProbePipeline(t, Options{BatchSize: 8, Trace: tr}, func(sincePunct int) {
+		applied <- sincePunct
+	})
 	e.Start()
 
-	applied := make(chan struct{})
-	var hookRan atomic.Bool
-	if !e.Reconfigure(pid, Reconfig{
-		BatchSize: 3,
-		Apply: func(op ops.Operator) {
-			hookRan.Store(true)
-			close(applied)
-		},
-	}) {
+	if !e.Reconfigure(pid, Reconfig{BatchSize: 3}) {
 		t.Fatal("Reconfigure rejected a valid node id")
 	}
 	if e.Reconfigure(999, Reconfig{}) {
@@ -90,18 +97,24 @@ func TestReconfigureAppliesAtNextBoundary(t *testing.T) {
 		t.Fatal("reconfiguration applied without a punctuation boundary")
 	case <-time.After(20 * time.Millisecond):
 	}
+	if got := e.NodeBatchSize(pid); got != 8 {
+		t.Fatalf("NodeBatchSize = %d before any punctuation, want 8", got)
+	}
+	// The apply follows the punctuation's step; the probe sees it in the
+	// next tuple's Exec.
 	e.Ingest(src, tuple.NewPunct(100))
+	e.Ingest(src, tuple.NewData(101, tuple.Int(101)))
 	select {
-	case <-applied:
+	case since := <-applied:
+		if since != 0 {
+			t.Fatalf("reconfiguration applied %d data tuples after a punctuation", since)
+		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("reconfiguration never applied after a punctuation")
 	}
 	e.CloseStream(src)
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
-	}
-	if !hookRan.Load() {
-		t.Fatal("Apply hook did not run")
 	}
 	if got := e.NodeBatchSize(pid); got != 3 {
 		t.Errorf("NodeBatchSize = %d, want 3", got)
@@ -119,8 +132,8 @@ func TestReconfigureAppliesAtNextBoundary(t *testing.T) {
 // controller goroutine spams reconfigurations while the stream alternates
 // data bursts and punctuation, with the fault injector's source stall
 // holding the pipeline mid-burst — data emitted, bound not yet — for long
-// windows. Every Apply hook asserts the probe operator is quiescent (no
-// data emitted since its last punctuation). Run under -race.
+// windows. Every batch-size swap the probe operator observes must find it
+// quiescent (no data emitted since its last punctuation). Run under -race.
 func TestReconfigureNeverAppliesMidBatch(t *testing.T) {
 	inj := fault.New(fault.Config{
 		Seed:        7,
@@ -128,11 +141,16 @@ func TestReconfigureNeverAppliesMidBatch(t *testing.T) {
 		StallAfter:  10 * time.Millisecond,
 		StallFor:    30 * time.Millisecond,
 	})
-	e, src, probe, pid, _ := buildProbePipeline(t, Options{BatchSize: 16, Fault: inj})
+	var applies, violations atomic.Int64
+	e, src, probe, pid := buildProbePipeline(t, Options{BatchSize: 16, Fault: inj}, func(sincePunct int) {
+		applies.Add(1)
+		if sincePunct != 0 {
+			violations.Add(1)
+		}
+	})
 	e.Start()
 	inj.Arm()
 
-	var applies, violations atomic.Int64
 	stopCtl := make(chan struct{})
 	ctlDone := make(chan struct{})
 	go func() {
@@ -145,15 +163,7 @@ func TestReconfigureNeverAppliesMidBatch(t *testing.T) {
 			default:
 			}
 			bs = bs%64 + 1
-			e.Reconfigure(pid, Reconfig{
-				BatchSize: bs,
-				Apply: func(op ops.Operator) {
-					applies.Add(1)
-					if op.(*probeOp).sincePunct != 0 {
-						violations.Add(1)
-					}
-				},
-			})
+			e.Reconfigure(pid, Reconfig{BatchSize: bs})
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

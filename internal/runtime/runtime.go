@@ -170,9 +170,6 @@ type Options struct {
 type Reconfig struct {
 	// BatchSize, when > 0, becomes the node's per-arc batch capacity.
 	BatchSize int
-	// Apply, when non-nil, runs on the node's goroutine at the boundary
-	// with the node's operator — the hook probe-order swaps ride on.
-	Apply func(op ops.Operator)
 }
 
 // DefaultMaxRestarts is the per-node restart budget when Options.MaxRestarts
@@ -946,7 +943,7 @@ func (e *Engine) runNode(n *node) {
 			// point where reconfiguration is indistinguishable from
 			// having been the configuration all along.
 			if n.punctBoundary && n.sincePunct == 0 && n.pendCount == 0 {
-				e.maybeApplyReconf(n, op)
+				e.maybeApplyReconf(n)
 			}
 		}
 		if ran {
@@ -1060,18 +1057,14 @@ func (e *Engine) runNode(n *node) {
 
 // maybeApplyReconf consumes the node's pending reconfiguration, if any.
 // Called only from the node's own goroutine at a verified quiescent point
-// (last emission was a punctuation, nothing pending), so Apply hooks may
-// touch operator state freely.
-func (e *Engine) maybeApplyReconf(n *node, op ops.Operator) {
+// (last emission was a punctuation, nothing pending).
+func (e *Engine) maybeApplyReconf(n *node) {
 	rc := n.reconf.Swap(nil)
 	if rc == nil {
 		return
 	}
 	if rc.BatchSize > 0 {
 		n.batchSize.Store(int64(rc.BatchSize))
-	}
-	if rc.Apply != nil {
-		rc.Apply(op)
 	}
 	n.obs.retunes.Inc()
 	if e.trace != nil {
@@ -1102,17 +1095,6 @@ func (e *Engine) NodeBatchSize(id int) int {
 		return 0
 	}
 	return int(e.nodes[id].batchSize.Load())
-}
-
-// NodeOperator returns node id's operator instance (nil for an unknown id).
-// The instance is shared with the running goroutine: callers may only use
-// the operator's documented concurrency-safe surfaces (counter reads,
-// atomic-swapped tables) or mutate it through Reconfigure's Apply hook.
-func (e *Engine) NodeOperator(id int) ops.Operator {
-	if id < 0 || id >= len(e.nodes) {
-		return nil
-	}
-	return e.nodes[id].gn.Op
 }
 
 // NumNodes reports the graph's node count (node ids are 0..NumNodes-1).

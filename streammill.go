@@ -91,8 +91,7 @@ type (
 	// builds over a Runtime.
 	AdaptiveOptions = adapt.Options
 	// AdaptiveController closes the metrics loop over a running Runtime,
-	// retuning batch sizes, shard tables, and join probe orders at
-	// punctuation boundaries.
+	// retuning batch sizes and shard tables at punctuation boundaries.
 	AdaptiveController = adapt.Controller
 	// Sim drives an ExecEngine over virtual time.
 	Sim = sim.Sim
