@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-join obs-smoke net-smoke dist-smoke examples-smoke fuzz-smoke loc knobs check
+.PHONY: all build vet test race stress bench bench-smoke bench-join obs-smoke net-smoke dist-smoke examples-smoke fuzz-smoke loc knobs check
 
 all: check
 
@@ -28,6 +28,15 @@ test:
 # minutes under -race on a 2-core box, past go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The runtime's concurrency-sensitive tests, 20 runs each under the race
+# detector: the bound read's crux tests and its differential slice against
+# internal/exec, the checkpoint tests, and the idle-engine hand-off. An
+# ordering bug that shows once in a few hundred runs shows here. About 3
+# minutes on a 2-core box, most of it TestCheckpointRepeatsOnPlannedGraph.
+STRESS_RUN = TestBoundRead|TestCheckpoint|TestIngestHandsIdleEngineTheCPU
+stress:
+	$(GO) test -race -count=20 -timeout 20m -run '$(STRESS_RUN)' ./internal/runtime
 
 # Smoke-run every benchmark once so bit-rot in bench code is caught by CI.
 bench:
@@ -104,4 +113,4 @@ knobs:
 	done
 	@printf 'streamd flags: '; grep -cE 'flag\.(Bool|String|Int|Int64|Duration|Func)(Var)?\(' cmd/streamd/main.go
 
-check: vet build test race bench bench-smoke obs-smoke net-smoke dist-smoke examples-smoke
+check: vet build test race stress bench bench-smoke obs-smoke net-smoke dist-smoke examples-smoke

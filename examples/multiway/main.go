@@ -1,8 +1,9 @@
 // Multiway: a three-way union over the concurrent goroutine runtime, with
 // coarse timestamps that produce *simultaneous tuples* (paper §4.1). The
 // TSM registers and relaxed `more` condition let every equal-timestamp
-// tuple flow, and upstream demand signals generate on-demand ETS in real
-// time whenever one of the three feeds goes quiet.
+// tuple flow. Whenever one of the three feeds goes quiet, the union reads
+// that idle internal-timestamp source's bound in place (the clock), or
+// signals demand upstream for an on-demand ETS when the source is busy.
 package main
 
 import (
@@ -46,8 +47,8 @@ func main() {
 	}
 
 	// Three producers at very different speeds. s3 sends a single burst
-	// and goes quiet — without demand-driven ETS the union would hold
-	// back everything newer than s3's last tuple.
+	// and goes quiet — without on-demand bounds the union would hold back
+	// everything newer than s3's last tuple.
 	var wg sync.WaitGroup
 	produce := func(idx, n int, gap time.Duration) {
 		defer wg.Done()
@@ -70,5 +71,6 @@ func main() {
 	defer mu.Unlock()
 	fmt.Printf("three-way union delivered %d tuples: s1=%d s2=%d s3=%d\n",
 		total, perSource[1], perSource[2], perSource[3])
-	fmt.Printf("demand-driven ETS generated: %d\n", rt.ETSGenerated())
+	fmt.Printf("demand-driven ETS generated: %d; bounds read in their place: %d\n",
+		rt.ETSGenerated(), rt.BoundReads())
 }

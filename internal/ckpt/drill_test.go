@@ -65,8 +65,16 @@ func (c *checksum) sink() *ops.Sink {
 // on-demand ETS on as a deployment runs it.
 func drillEngine(t *testing.T, aggregate bool, sink *ops.Sink) (*runtime.Engine, [2]*ops.Source) {
 	t.Helper()
+	return drillEngineTS(t, tuple.External, aggregate, sink)
+}
+
+// drillEngineTS is drillEngine with sources of timestamp kind ts. Internal
+// sources stamp the engine clock over the feed's timestamps, and the union
+// reads an idle one's bound instead of asking it for an ETS.
+func drillEngineTS(t *testing.T, ts tuple.TSKind, aggregate bool, sink *ops.Sink) (*runtime.Engine, [2]*ops.Source) {
+	t.Helper()
 	sch := tuple.NewSchema("s", tuple.Field{Name: "v", Kind: tuple.IntKind}).
-		WithTS(tuple.External)
+		WithTS(ts)
 	g := graph.New("ckpt")
 	srcs := [2]*ops.Source{
 		ops.NewSource("s1", sch, drillDelta),
@@ -271,15 +279,28 @@ func TestKillRestoreVerify(t *testing.T) {
 // order — which a cut by queue position cannot promise when the sources cut
 // at different sequence numbers (DESIGN.md §14).
 func TestCheckpointUnderTrafficKeepsArcOrder(t *testing.T) {
+	trafficCuts(t, tuple.External)
+}
+
+// TestCheckpointUnderTrafficKeepsArcOrderInternal is its internal-timestamp
+// twin: the union reads an idle source's bound in place of an ETS, and a
+// read under an armed cut must stay below the cut's T. Every cut completes
+// and the arc keeps its order.
+func TestCheckpointUnderTrafficKeepsArcOrderInternal(t *testing.T) {
+	trafficCuts(t, tuple.Internal)
+}
+
+func trafficCuts(t *testing.T, ts tuple.TSKind) {
 	const (
 		rounds = 30
 		n      = 40_000 // tuples per source per round
 	)
 	var total, bad int
+	var cuts, failed, reads uint64
 	for round := 0; round < rounds; round++ {
 		inversions := 0
 		prev := tuple.MinTime
-		e, srcs := drillEngine(t, false, ops.NewSink("k", func(tp *tuple.Tuple, _ tuple.Time) {
+		e, srcs := drillEngineTS(t, ts, false, ops.NewSink("k", func(tp *tuple.Tuple, _ tuple.Time) {
 			if tp.Ts < prev {
 				inversions++
 			} else {
@@ -297,17 +318,39 @@ func TestCheckpointUnderTrafficKeepsArcOrder(t *testing.T) {
 		e.Start()
 		coord.Run()
 		feed(e, srcs, 0, n, [2]uint64{})
-		// EOS reaches any cut still armed, so close before stopping the
-		// coordinator: its in-flight cycle completes instead of waiting for
-		// data that will not come.
-		drain(t, e, srcs)
-		coord.Stop()
+		if ts == tuple.Internal {
+			// An idle internal source reaches any cut with its clock, so
+			// the coordinator stops first and every cut it began
+			// completes; none starts against a drained engine.
+			coord.Stop()
+			drain(t, e, srcs)
+		} else {
+			// With δ this large only data or EOS reaches a cut, so close
+			// before stopping the coordinator: its in-flight cycle
+			// completes instead of waiting for data that will not come.
+			// Its ticks after the drain fail.
+			drain(t, e, srcs)
+			coord.Stop()
+		}
 		if inversions > 0 {
 			bad++
 			total += inversions
 		}
+		cuts += coord.Completed()
+		failed += coord.Failed()
+		reads += e.BoundReads()
 	}
+	t.Logf("%d cuts completed, %d failed, %d bounds read", cuts, failed, reads)
 	if bad > 0 {
 		t.Errorf("union output arc left timestamp order in %d/%d rounds (%d inversions in total)", bad, rounds, total)
+	}
+	if cuts == 0 {
+		t.Error("no cut completed")
+	}
+	if ts == tuple.Internal && failed > 0 {
+		t.Errorf("%d of %d cuts failed", failed, failed+cuts)
+	}
+	if ts == tuple.Internal && reads == 0 {
+		t.Error("no bound read: the drill never took the path it is for")
 	}
 }

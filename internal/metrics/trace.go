@@ -91,6 +91,9 @@ const (
 	// EvCkptRestore: operator state was restored from a checkpoint before
 	// start; Value is the checkpoint ID.
 	EvCkptRestore
+	// EvBoundRead: a blocked operator read an idle internal source's bound
+	// in place of an ETS; When is the bound, Value the operator's input.
+	EvBoundRead
 
 	numEventKinds
 )
@@ -149,6 +152,8 @@ func (k EventKind) String() string {
 		return "CkptAbort"
 	case EvCkptRestore:
 		return "CkptRestore"
+	case EvBoundRead:
+		return "BoundRead"
 	default:
 		return fmt.Sprintf("EventKind(%d)", k)
 	}

@@ -56,6 +56,24 @@ func (c *iwp) PunctEmitted() uint64 { return c.punctOut }
 // (MinTime before the first punctuation) — the overlay's live progress mark.
 func (c *iwp) Watermark() tuple.Time { return c.watermark }
 
+// RaiseBound raises input in's TSM register to ts, as consuming a
+// punctuation at ts from that input would, and reports whether it advanced.
+// Like a consumed punctuation it can only raise: a bound that lands below
+// the register later is absorbed. Outside TSM mode there are no registers to
+// raise.
+func (c *iwp) RaiseBound(in int, ts tuple.Time) bool {
+	return c.regs != nil && c.regs.Update(in, ts)
+}
+
+// EndOfStream emits the end of stream for an operator whose every input has
+// ended and drained, where its mode swallowed the inputs' EOS: latent mode
+// consumes punctuation, EOS included. TSM forwards EOS itself (punctStep).
+func (c *iwp) EndOfStream(ctx *Ctx) {
+	if c.mode == LatentMode {
+		ctx.Emit(tuple.EOS())
+	}
+}
+
 // More implements the mode's `more` condition.
 func (c *iwp) More(ctx *Ctx) bool {
 	switch c.mode {

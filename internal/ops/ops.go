@@ -22,7 +22,9 @@
 // Basic and TSM consumption step and punctuation propagation. Union and
 // WindowJoin embed it and keep only what a popped data tuple produces (the
 // union emits it, the join probes and inserts) and their latent-mode step;
-// the join also expires its opposite window on a consumed punctuation.
+// the join also expires its opposite window on a consumed punctuation. An
+// engine that reads an input's bound from its producer instead of receiving
+// it as punctuation raises the register through the core (RaiseBound).
 package ops
 
 import (

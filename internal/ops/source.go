@@ -262,6 +262,27 @@ func (s *Source) OnDemandETS(now tuple.Time) (*tuple.Tuple, bool) {
 	return tuple.GetPunct(ets), true
 }
 
+// ReadBound issues the on-demand ETS of an internal-timestamp stream as a
+// bound rather than a tuple, for an engine that delivers it to the consumer
+// itself: the clock now, capped below an armed cut (whose barrier must
+// precede every bound at or above its timestamp), recorded as issued like
+// OnDemandETS's. It reports false for other kinds and when the bound would
+// not advance. The caller must hold the source still: no Exec, ETS or cut
+// may run concurrently.
+func (s *Source) ReadBound(now tuple.Time) (tuple.Time, bool) {
+	if s.tsKind != tuple.Internal {
+		return tuple.MinTime, false
+	}
+	if at, _, armed := s.cut.Armed(); armed && now >= at {
+		now = at - 1
+	}
+	ets, ok := s.est.ETS(now)
+	if ok {
+		s.est.Emit(ets)
+	}
+	return ets, ok
+}
+
 // CanBound reports whether the source could currently promise any ETS —
 // false for latent streams and for external streams before their first
 // tuple. The concurrent runtime's source-liveness watchdog checks it before

@@ -92,9 +92,9 @@ func (e *Engine) onBarrier(n *node, id uint64, bound tuple.Time) {
 func (e *Engine) ckptSupported() error {
 	seen := make(map[string]bool)
 	for _, n := range e.nodes {
-		if m, ok := n.gn.Op.(interface{ Mode() ops.IWPMode }); ok && m.Mode() != ops.TSM {
+		if n.iwp != nil && n.iwp.Mode() != ops.TSM {
 			return fmt.Errorf("%w: node %q runs IWP mode %v (need TSM to forward barriers)",
-				ErrCkptUnsupported, n.name, m.Mode())
+				ErrCkptUnsupported, n.name, n.iwp.Mode())
 		}
 		if _, ok := n.gn.Op.(ops.Stateful); ok {
 			if seen[n.name] {

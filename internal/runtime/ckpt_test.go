@@ -42,17 +42,52 @@ func feedRange(e *Engine, s *ops.Source, lo, hi int) {
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
+	// The feed honours its declared skew δ = 0: the clock never runs ahead
+	// of the timestamps fed, so no ETS (lastTs + elapsed − δ) promises past
+	// the next tuple and nothing after the cut arrives late. The clock holds
+	// at 10 while 1..10 are fed and taken and the cut is armed just above
+	// them, at 11, then moves to 11, the next timestamp, so the idle sources
+	// reach it.
+	clk := &manualClock{}
+	clk.set(10)
 	g, s1, s2, sink, _ := buildCkptGraph()
-	e, err := New(g, Options{OnDemandETS: true})
+	e, err := New(g, Options{OnDemandETS: true, Now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
 	feedRange(e, s1, 1, 11)
 	feedRange(e, s2, 1, 11)
+	for _, n := range e.srcNodes {
+		for deadline := time.Now().Add(10 * time.Second); n.inlet.len() > 0; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("source %s never took its feed", n.name)
+			}
+		}
+	}
 
-	snap, err := e.Checkpoint(1, 10*time.Second)
-	if err != nil {
+	var snap *ckpt.Snapshot
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		snap, err = e.Checkpoint(1, 10*time.Second)
+		done <- err
+	}()
+	for _, s := range []*ops.Source{s1, s2} {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			if _, at, ok := s.ArmedCut(); ok {
+				if at != 11 {
+					t.Fatalf("cut armed at %d, want 11: just above the feed", at)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("source %s never armed the cut", s.Name())
+			}
+		}
+	}
+	clk.set(11)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if snap.ID != 1 {
@@ -79,7 +114,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	// post-checkpoint input; the restored run must converge to the same
 	// delivered-row count.
 	g2, r1, r2, sink2, _ := buildCkptGraph()
-	e2, err := New(g2, Options{OnDemandETS: true})
+	e2, err := New(g2, Options{OnDemandETS: true, Now: clk.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +135,9 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	e2.Wait()
 	if got := sink2.Received(); got != origReceived {
 		t.Fatalf("restored run delivered %d rows, original %d", got, origReceived)
+	}
+	if late := e.Snapshot().LateTuples + e2.Snapshot().LateTuples; late != 0 {
+		t.Fatalf("%d tuples arrived late: the clock ran ahead of the feed", late)
 	}
 }
 

@@ -43,6 +43,7 @@ type nodeObs struct {
 
 	etsInternal *metrics.Counter64 // on-demand ETS generated (internal-ts source)
 	etsExternal *metrics.Counter64 // on-demand ETS generated (external-ts source)
+	boundReads  *metrics.Counter64 // bounds consumers read in place of an ETS (internal-ts source)
 
 	demandSent *metrics.Counter64
 	demandRecv *metrics.Counter64
@@ -104,6 +105,7 @@ func (e *Engine) instrument() {
 			demandRecv:  reg.Counter("sm_node_demand_recv_total" + lbl),
 			etsInternal: reg.Counter("sm_node_ets_internal_total" + lbl),
 			etsExternal: reg.Counter("sm_node_ets_external_total" + lbl),
+			boundReads:  reg.Counter("sm_node_bound_reads_total" + lbl),
 			panics:      reg.Counter("sm_node_panics_total" + lbl),
 			restarts:    reg.Counter("sm_node_restarts_total" + lbl),
 			forcedETS:   reg.Counter("sm_node_forced_ets_total" + lbl),
@@ -158,6 +160,7 @@ func (e *Engine) instrument() {
 	reg.CounterFunc("sm_engine_tuples_sent_total", func() int64 { return int64(e.tuplesSent.Load()) })
 	reg.CounterFunc("sm_engine_batches_sent_total", func() int64 { return int64(e.batchesSent.Load()) })
 	reg.CounterFunc("sm_engine_ets_generated_total", func() int64 { return int64(e.etsGenerated.Load()) })
+	reg.CounterFunc("sm_engine_bound_reads_total", func() int64 { return int64(e.boundReads.Load()) })
 	reg.CounterFunc("sm_engine_forced_ets_total", func() int64 { return int64(e.forcedETS.Load()) })
 	reg.CounterFunc("sm_engine_shed_total", func() int64 { return int64(e.tuplesShed.Load()) })
 	reg.CounterFunc("sm_engine_late_tuples_total", func() int64 { return int64(e.lateTuples.Load()) })
@@ -445,8 +448,11 @@ type NodeSnapshot struct {
 	IdleTime     tuple.Time
 	IdleFraction float64
 	// ETSInternal/ETSExternal count on-demand ETS generated at this node
-	// (sources only), split by the stream's timestamp kind.
+	// (sources only), split by the stream's timestamp kind. BoundReads
+	// counts the bounds blocked consumers read from this source instead
+	// (internal-timestamp sources only).
 	ETSInternal, ETSExternal uint64
+	BoundReads               uint64
 	// DemandSent counts demand signalling rounds this node initiated;
 	// DemandRecv demand signals it received.
 	DemandSent, DemandRecv uint64
@@ -478,8 +484,10 @@ type Snapshot struct {
 	// Now is the engine clock at the snapshot; Uptime the time since
 	// Start (0 before).
 	Now, Uptime tuple.Time
-	// Engine-level data-plane totals.
+	// Engine-level data-plane totals. BoundReads counts the bounds blocked
+	// operators read from idle internal sources in place of an ETS.
 	TuplesSent, BatchesSent, ETSGenerated uint64
+	BoundReads                            uint64
 	// Engine-level fault-tolerance totals: watchdog-forced ETS, tuples
 	// dropped by the shedder, tuples that arrived below a node's input
 	// watermark, and the number of sources currently declared dead.
@@ -512,6 +520,7 @@ func (e *Engine) Snapshot() Snapshot {
 		TuplesSent:   e.tuplesSent.Load(),
 		BatchesSent:  e.batchesSent.Load(),
 		ETSGenerated: e.etsGenerated.Load(),
+		BoundReads:   e.boundReads.Load(),
 		ForcedETS:    e.forcedETS.Load(),
 		TuplesShed:   e.tuplesShed.Load(),
 		LateTuples:   e.lateTuples.Load(),
@@ -539,6 +548,7 @@ func (e *Engine) Snapshot() Snapshot {
 			IdleSpells:  o.idleSpells.Load(),
 			ETSInternal: o.etsInternal.Load(),
 			ETSExternal: o.etsExternal.Load(),
+			BoundReads:  o.boundReads.Load(),
 			DemandSent:  o.demandSent.Load(),
 			DemandRecv:  o.demandRecv.Load(),
 			Panics:      o.panics.Load(),

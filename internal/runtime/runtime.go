@@ -5,7 +5,8 @@
 // signal* upstream: an idle-waiting operator that holds data but cannot run
 // sends a demand toward the source feeding its blocking input; the source
 // answers with an on-demand ETS punctuation (subject to the same per-kind
-// estimator rules). Demand signals are hints — they are sent without
+// estimator rules), unless the operator could read that bound itself (see
+// Bound reads). Demand signals are hints — they are sent without
 // blocking and dropped when a node is busy, which keeps the engine
 // deadlock-free (data flows strictly downstream, demand strictly upstream,
 // and only data sends may block).
@@ -47,6 +48,20 @@
 // wake and steal them. Under load some node is always busy and producers
 // never yield; yielding on every ring would make a per-tuple producer and a
 // busy engine trade one CPU back and forth.
+//
+// # Bound reads
+//
+// For an internal-timestamp stream the on-demand ETS is the clock, so a
+// round trip for it is waste. A TSM union or join about to idle-wait on an
+// input that such a source feeds by a direct arc reads the source's bound on
+// its own goroutine and raises its own register with it (readBound): no
+// tuple, message or wake. It does so only while the source is parked (a run
+// lock its goroutine lets go of only in its idle select, taken with TryLock),
+// holds nothing, has nothing in flight on the arc (tuples flushed equal
+// tuples received) and has an empty inlet. The read is recorded as the
+// source's ETS would be, capped below an armed checkpoint cut, and no later
+// take is stamped below it. Every other case — external and latent sources,
+// chains through other operators, splitters, links — falls back to demand.
 package runtime
 
 import (
@@ -215,6 +230,7 @@ type Engine struct {
 	parked atomic.Int64
 
 	etsGenerated atomic.Uint64
+	boundReads   atomic.Uint64
 	batchesSent  atomic.Uint64
 	tuplesSent   atomic.Uint64
 	forcedETS    atomic.Uint64
@@ -257,9 +273,9 @@ type portBatch struct {
 // mu also orders a checkpoint's observation of the source (armCut): every
 // timestamp the source will emit is recorded in hi, under mu, before the
 // source emits it — an external tuple's as it is appended, an internal
-// take's stamp as it is taken, an ETS as it is made, a cut's T as it is
-// armed — so a checkpoint holding every mu sees a maximum nothing the source
-// emits before it sees the cut exceeds.
+// take's stamp as it is taken, an ETS or a bound read as it is made, a cut's
+// T as it is armed — so a checkpoint holding every mu sees a maximum nothing
+// the source emits before it sees the cut exceeds.
 type inlet struct {
 	mu  sync.Mutex
 	buf []*tuple.Tuple
@@ -268,6 +284,10 @@ type inlet struct {
 	// always does).
 	hi       tuple.Time
 	external bool
+	// floor is the highest ETS promised for an internal stream, by the
+	// source or by a consumer's bound read (readBound). No take stamps below
+	// it: the clock a bound read promised is read on another goroutine.
+	floor tuple.Time
 	// room, non-nil while a producer waits for room, is closed by the next
 	// take to wake every waiter at once.
 	room chan struct{}
@@ -325,14 +345,17 @@ func (in *inlet) add(ts []*tuple.Tuple) bool {
 }
 
 // take swaps out everything appended so far and wakes producers waiting for
-// room; a non-empty take records stamp, the time an internal stream stamps
-// it with. The caller hands the slice back through recycle once delivered.
-func (in *inlet) take(stamp tuple.Time) []*tuple.Tuple {
+// room. stamp is the clock an internal stream stamps the take with (MinTime
+// for other kinds); take raises it to the inlet's floor, records it if the
+// take is non-empty, and returns it. The caller hands the slice back through
+// recycle once delivered.
+func (in *inlet) take(stamp tuple.Time) ([]*tuple.Tuple, tuple.Time) {
 	next := in.spare
 	in.spare = nil
 	in.mu.Lock()
 	b := in.buf
 	in.buf = next
+	stamp = max(stamp, in.floor) // floor stays MinTime but for internal streams
 	if len(b) > 0 && stamp > in.hi {
 		in.hi = stamp
 	}
@@ -341,7 +364,7 @@ func (in *inlet) take(stamp tuple.Time) []*tuple.Tuple {
 		in.room = nil
 	}
 	in.mu.Unlock()
-	return b
+	return b, stamp
 }
 
 // recycle keeps a delivered take as the next take's buffer, minus its tuple
@@ -358,6 +381,33 @@ func (in *inlet) len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return len(in.buf)
+}
+
+// iwpOperator is an operator built on the IWP core (ops.Union,
+// ops.WindowJoin): the hooks the engine drives its timestamp management
+// through.
+type iwpOperator interface {
+	ops.Operator
+	Mode() ops.IWPMode
+	// RaiseBound raises input in's TSM register to ts — a bound the engine
+	// read from that input's producer (readBound) — and reports whether the
+	// register advanced.
+	RaiseBound(in int, ts tuple.Time) bool
+	// EndOfStream emits what the operator owes downstream once every input
+	// has ended and drained: EOS, if its mode swallowed the inputs' EOS.
+	EndOfStream(ctx *ops.Ctx)
+}
+
+var (
+	_ iwpOperator = (*ops.Union)(nil)
+	_ iwpOperator = (*ops.WindowJoin)(nil)
+)
+
+// boundArc names the internal source feeding a port by a direct arc, and the
+// arc's index among the source's out arcs.
+type boundArc struct {
+	src *node
+	arc int
 }
 
 type node struct {
@@ -414,6 +464,22 @@ type node struct {
 	// restarts is the supervisor's consumed-budget counter (supervisor
 	// goroutine only).
 	restarts int
+
+	// Bound reads (readBound). An internal source's goroutine holds run
+	// except while parked in its idle select, so whoever holds it sees the
+	// source still. Consumers only TryLock it, so the source may hold it
+	// across a blocking send with nobody waiting on it. sent counts the
+	// tuples the source flushed on each out arc, under run. A TSM
+	// operator's reads[port] is the internal source feeding that port by a
+	// direct arc (src nil for any other port), recv[port] the tuples
+	// received there; both nil when no port qualifies. iwp is the node's
+	// IWP operator, nil for any other.
+	run      sync.Mutex
+	internal bool // the node is an internal-timestamp source: it takes run
+	sent     []uint64
+	reads    []boundArc
+	recv     []uint64
+	iwp      iwpOperator
 
 	// Watchdog state: lastIn is the engine clock (µs) of the last arrival
 	// at a source node; lastForce the clock of the last forced ETS; dead
@@ -482,8 +548,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		n.lastIn.Store(-1)
 		n.batchSize.Store(int64(e.batchSize))
 		e.nodes[gn.ID] = n
+		n.iwp, _ = gn.Op.(iwpOperator)
 		if s := gn.Source(); s != nil {
-			n.inlet = &inlet{bell: make(chan struct{}, 1), hi: tuple.MinTime, external: s.TSKind() == tuple.External}
+			n.inlet = &inlet{bell: make(chan struct{}, 1), hi: tuple.MinTime, floor: tuple.MinTime, external: s.TSKind() == tuple.External}
+			n.internal = s.TSKind() == tuple.Internal
 			n.ctl = make(chan ctlKind, 4)
 			e.srcNode[s] = n
 			e.srcNodes = append(e.srcNodes, n)
@@ -498,6 +566,29 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 			n.outPorts = append(n.outPorts, a.Port)
 		}
 		n.pend = make([][]*tuple.Tuple, len(n.outs))
+		if n.internal {
+			n.sent = make([]uint64, len(n.outs))
+		}
+	}
+	for _, n := range e.nodes {
+		if n.iwp == nil || n.iwp.Mode() != ops.TSM {
+			continue
+		}
+		for port, p := range n.gn.Preds {
+			pn := e.nodes[p]
+			if !pn.internal {
+				continue
+			}
+			for i, c := range pn.outs {
+				if c == n && pn.outPorts[i] == port {
+					if n.reads == nil {
+						n.reads = make([]boundArc, len(n.gn.Preds))
+						n.recv = make([]uint64, len(n.gn.Preds))
+					}
+					n.reads[port] = boundArc{src: pn, arc: i}
+				}
+			}
+		}
 	}
 	e.instrument()
 	return e, nil
@@ -505,6 +596,10 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 
 // ETSGenerated reports the number of demand-driven ETS punctuations emitted.
 func (e *Engine) ETSGenerated() uint64 { return e.etsGenerated.Load() }
+
+// BoundReads reports the number of bounds blocked operators read from idle
+// internal-timestamp sources instead of an ETS punctuation (readBound).
+func (e *Engine) BoundReads() uint64 { return e.boundReads.Load() }
 
 // BatchesSent reports the number of arc deliveries (batch sends) performed;
 // TuplesSent / BatchesSent is the achieved batching factor.
@@ -632,7 +727,7 @@ func (e *Engine) drainInlet(n *node, src *ops.Source) {
 	if src.TSKind() == tuple.Internal {
 		stamp = now
 	}
-	b := n.inlet.take(stamp)
+	b, stamp := n.inlet.take(stamp)
 	if len(b) > 0 {
 		n.obs.tuplesIn.Add(uint64(len(b)))
 		e.noteSourceActivity(n, now)
@@ -644,7 +739,9 @@ func (e *Engine) drainInlet(n *node, src *ops.Source) {
 				}
 				src.Offer(t)
 			} else if !e.fault.DropTuple(n.name) { // chaos: lost before entering the stream
-				src.Ingest(t, now)
+				// An internal take's stamp may sit at the inlet's floor,
+				// above now; other kinds' stamp is MinTime.
+				src.Ingest(t, max(now, stamp))
 			}
 		}
 		e.shedOverflow(n)
@@ -697,6 +794,9 @@ func (e *Engine) flushArc(n *node, i int) {
 	}
 	n.pend[i] = nil
 	n.pendCount -= len(b)
+	if n.sent != nil {
+		n.sent[i] += uint64(len(b))
+	}
 	e.batchesSent.Add(1)
 	e.tuplesSent.Add(uint64(len(b)))
 	n.obs.batchesOut.Inc()
@@ -823,6 +923,45 @@ func (c *stepClock) step() {
 // expire makes the next read take a fresh reading: the node woke up.
 func (c *stepClock) expire() { c.left = 0 }
 
+// deliver moves one arc delivery into n's input queues: the node's own
+// goroutine, after taking it from the inbox channel.
+func (e *Engine) deliver(n *node, pb portBatch) {
+	n.obs.tuplesIn.Add(uint64(len(pb.batch)))
+	if n.reads != nil && n.reads[pb.port].src != nil {
+		n.recv[pb.port] += uint64(len(pb.batch))
+	}
+	// Late accounting must use the arc's watermark as of *before* this
+	// delivery: a batch's own trailing punctuation bounds future
+	// batches, not the data travelling ahead of it in the same batch.
+	// The arc's, not the node's: another input's bound may run ahead
+	// without any tuple on this one being late.
+	wmPre := n.obs.arcWm[pb.port].Load()
+	// Punctuation flushes its batch the moment it is emitted, so a punct
+	// — EOS included — can only be a batch's last element: one check
+	// accounts the whole batch. (Not so for a source's inlet take.)
+	last := pb.batch[len(pb.batch)-1]
+	if last.IsPunct() {
+		e.notePunctArrival(n, pb.port, last.Ts, last.Trace)
+	}
+	if wmPre > int64(tuple.MinTime) {
+		late := 0
+		for _, t := range pb.batch {
+			if !t.IsPunct() && int64(t.Ts) < wmPre {
+				late++
+			}
+		}
+		if late > 0 {
+			e.countLate(n, late)
+		}
+	}
+	n.ins[pb.port].PushAll(pb.batch)
+	if last.IsEOS() {
+		n.eosSeen[pb.port] = true
+	}
+	e.pool.Put(pb.batch)
+	e.shedOverflow(n)
+}
+
 // runNode is the per-operator scheduling loop. It is (re)entered by the
 // node's supervisor: a panic anywhere inside is recovered there and the loop
 // restarted, so all state that must survive a restart lives on the node (or
@@ -846,39 +985,6 @@ func (e *Engine) runNode(n *node) {
 		bell = n.inlet.bell
 	}
 
-	deliver := func(pb portBatch) {
-		n.obs.tuplesIn.Add(uint64(len(pb.batch)))
-		// Late accounting must use the arc's watermark as of *before* this
-		// delivery: a batch's own trailing punctuation bounds future
-		// batches, not the data travelling ahead of it in the same batch.
-		// The arc's, not the node's: another input's bound may run ahead
-		// without any tuple on this one being late.
-		wmPre := n.obs.arcWm[pb.port].Load()
-		// Punctuation flushes its batch the moment it is emitted, so a punct
-		// — EOS included — can only be a batch's last element: one check
-		// accounts the whole batch. (Not so for a source's inlet take.)
-		last := pb.batch[len(pb.batch)-1]
-		if last.IsPunct() {
-			e.notePunctArrival(n, pb.port, last.Ts, last.Trace)
-		}
-		if wmPre > int64(tuple.MinTime) {
-			late := 0
-			for _, t := range pb.batch {
-				if !t.IsPunct() && int64(t.Ts) < wmPre {
-					late++
-				}
-			}
-			if late > 0 {
-				e.countLate(n, late)
-			}
-		}
-		n.ins[pb.port].PushAll(pb.batch)
-		if last.IsEOS() {
-			n.eosSeen[pb.port] = true
-		}
-		e.pool.Put(pb.batch)
-		e.shedOverflow(n)
-	}
 	allEOS := func() bool {
 		if src != nil {
 			return false // sources end via their own EOS ingest
@@ -903,6 +1009,10 @@ func (e *Engine) runNode(n *node) {
 	}
 	retry := time.NewTimer(demandRetry) // the demand-retry wait below
 	defer retry.Stop()
+	// An internal source runs holding its run lock and lets go of it only
+	// while parked (see node.run); every return and panic holds it.
+	n.freeze()
+	defer n.thaw()
 
 	for {
 		// Chaos probe: a clean failure point where the operator's state is
@@ -921,7 +1031,7 @@ func (e *Engine) runNode(n *node) {
 			for e.canDrain(n) {
 				select {
 				case pb := <-n.in:
-					deliver(pb)
+					e.deliver(n, pb)
 					continue
 				default:
 				}
@@ -968,19 +1078,17 @@ func (e *Engine) runNode(n *node) {
 		}
 		if allEOS() && drained() {
 			e.exitIdle(n)
-			if _, isSink := op.(*ops.Sink); !isSink && len(n.outs) > 0 {
-				// TSM operators forward EOS themselves; stateless
-				// ones forwarded it as ordinary punctuation. A
-				// latent-mode IWP op swallows punctuation, so emit
-				// EOS explicitly for downstream termination.
-				if u, ok := op.(*ops.Union); ok && u.Mode() == ops.LatentMode {
-					e.emit(n, tuple.EOS())
-				}
-				if j, ok := op.(*ops.WindowJoin); ok && j.Mode() == ops.LatentMode {
-					e.emit(n, tuple.EOS())
-				}
+			// Stateless operators forwarded EOS as ordinary punctuation;
+			// an IWP operator emits what its mode owes downstream.
+			if n.iwp != nil && len(n.outs) > 0 {
+				n.iwp.EndOfStream(ctx)
 			}
 			return
+		}
+		// About to idle-wait on an input an idle internal source feeds
+		// directly: read its bound instead of asking for it.
+		if n.reads != nil && e.opts.OnDemandETS && e.hasData(n) && e.readBounds(n, ctx) {
+			continue
 		}
 		// Idle: if we hold data but cannot run, signal demand upstream
 		// toward the blocking input (the concurrent analogue of the
@@ -1012,7 +1120,7 @@ func (e *Engine) runNode(n *node) {
 			select {
 			case pb := <-n.in:
 				e.parked.Add(-1)
-				deliver(pb)
+				e.deliver(n, pb)
 			case <-n.dem:
 				e.parked.Add(-1)
 				e.handleDemand(n, ctx)
@@ -1033,26 +1141,49 @@ func (e *Engine) runNode(n *node) {
 		// (n.in is nil for sources, bell and n.ctl for interior nodes; a
 		// nil case never fires.) Both idle selects count the node as parked
 		// (handOff), and every way out of them uncounts it first.
+		// Only here does an internal source let go of its run lock.
 		e.parked.Add(1)
+		n.thaw()
 		select {
 		case pb := <-n.in:
-			e.parked.Add(-1)
-			deliver(pb)
+			n.unpark(e)
+			e.deliver(n, pb)
 		case <-bell:
-			e.parked.Add(-1)
+			n.unpark(e)
 			// The drain at the top of the loop takes the inlet.
 		case <-n.dem:
-			e.parked.Add(-1)
+			n.unpark(e)
 			e.handleDemand(n, ctx)
 		case k := <-n.ctl:
-			e.parked.Add(-1)
+			n.unpark(e)
 			e.handleCtl(n, ctx, k)
 		case <-e.stop:
-			e.parked.Add(-1)
+			n.unpark(e)
 			e.exitIdle(n)
 			return
 		}
 	}
+}
+
+// freeze takes an internal source's run lock; thaw lets go of it. Both are
+// no-ops for every other node (see node.run).
+func (n *node) freeze() {
+	if n.internal {
+		n.run.Lock()
+	}
+}
+
+func (n *node) thaw() {
+	if n.internal {
+		n.run.Unlock()
+	}
+}
+
+// unpark leaves the idle select: the node holds its run lock again and no
+// longer counts as parked.
+func (n *node) unpark(e *Engine) {
+	n.freeze()
+	e.parked.Add(-1)
 }
 
 // maybeApplyReconf consumes the node's pending reconfiguration, if any.
@@ -1249,7 +1380,85 @@ func (e *Engine) sourceETS(n *node, src *ops.Source) *tuple.Tuple {
 	}
 	n.inlet.mu.Lock()
 	n.inlet.hi = max(n.inlet.hi, p.Ts)
+	if n.internal {
+		n.inlet.floor = max(n.inlet.floor, p.Ts)
+	}
 	n.inlet.mu.Unlock()
 	src.Offer(p)
 	return p
+}
+
+// readBounds is the bound read (DESIGN.md §6). A TSM operator about to
+// idle-wait on an input that an internal-timestamp source feeds by a direct
+// arc takes the ETS that source would issue on demand and raises its own
+// register with it: no tuple, no message, no wake of the source. It follows
+// the blocking input from read to read, at most once per input, and reports
+// whether the operator can run; when it cannot, the caller falls back to
+// demand.
+func (e *Engine) readBounds(n *node, ctx *ops.Ctx) bool {
+	for range n.reads {
+		j := n.iwp.BlockingInput(ctx)
+		if j < 0 || !e.readBound(n, j) {
+			return false
+		}
+		if n.iwp.More(ctx) {
+			return true
+		}
+	}
+	return false
+}
+
+// readBound reads the bound of the internal source feeding n's input j and
+// raises the input's register with it. It declines unless, with input j
+// empty:
+//
+//  1. the source is still: parked, its run lock free (taken without waiting);
+//  2. it holds nothing: an empty inbox, no pending batch, not ended or
+//     declared dead;
+//  3. its arc to n is drained: every tuple it flushed there, a barrier
+//     included, has been received;
+//  4. its inlet is empty, under the inlet's lock.
+//
+// Then nothing the source has emitted is still on its way to n, and nothing
+// it will emit is stamped below the bound (inlet.floor). The bound is
+// recorded like an on-demand ETS (inlet.hi, the estimator) and capped below
+// an armed cut, whose barrier must precede every bound at or above its T
+// (ops.Source.ReadBound).
+func (e *Engine) readBound(n *node, j int) bool {
+	r := n.reads[j]
+	s := r.src
+	if s == nil || !n.ins[j].Empty() || !s.run.TryLock() {
+		return false
+	}
+	defer s.run.Unlock()
+	src := s.gn.Source()
+	if s.srcDone || s.dead.Load() || s.pendCount > 0 || !src.Inbox().Empty() || s.sent[r.arc] != n.recv[j] {
+		return false
+	}
+	in := s.inlet
+	in.mu.Lock()
+	if len(in.buf) > 0 {
+		in.mu.Unlock()
+		return false
+	}
+	b, ok := src.ReadBound(e.now())
+	if ok {
+		in.hi = max(in.hi, b)
+		in.floor = max(in.floor, b)
+	}
+	in.mu.Unlock()
+	if !ok || !n.iwp.RaiseBound(j, b) {
+		return false
+	}
+	// The arc's watermark moves as a delivered ETS would move it, so a
+	// tuple arriving below the bound later is counted late.
+	if v := int64(b); v > n.obs.arcWm[j].Load() {
+		n.obs.arcWm[j].Set(v)
+	}
+	e.boundReads.Add(1)
+	s.obs.boundReads.Inc()
+	if e.trace != nil {
+		e.trace.Emit(metrics.EvBoundRead, n.name, b, int64(j))
+	}
+	return true
 }

@@ -119,8 +119,10 @@ func TestRuntimeOnDemandETSReleases(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if e.ETSGenerated() == 0 {
-		t.Error("no ETS generated")
+	// The idle s2 feeds the union directly: its bound is read, unless the
+	// read lost a race to s2's goroutine and a demanded ETS released it.
+	if e.ETSGenerated()+e.BoundReads() == 0 {
+		t.Error("released by neither an ETS nor a bound read")
 	}
 	// Latency should be small (sub-50ms wall time even under CI load).
 	col.mu.Lock()
@@ -400,9 +402,17 @@ func TestRuntimeIngestBatch(t *testing.T) {
 // reach the sink immediately — flushed out of any partial batch — rather
 // than waiting for the batch to fill or for the stale-batch delay to expire.
 // With BatchSize larger than the whole input and a delay of a minute, any
-// delivery within the deadline proves flush-on-punctuation works.
+// delivery within the deadline proves flush-on-punctuation works. The sparse
+// input reaches the union through a select, so its bound cannot be read and
+// must travel as an ETS through two arcs.
 func TestRuntimeBatchingPreservesPunctuationLatency(t *testing.T) {
-	g, s1, _, col := buildUnion(t, ops.TSM, tuple.Internal)
+	g := graph.New("fwd")
+	s1 := ops.NewSource("s1", intSchema("s1", tuple.Internal), 0)
+	s2 := ops.NewSource("s2", intSchema("s2", tuple.Internal), 0)
+	a := g.AddNode(s1)
+	sel := g.AddNode(ops.NewSelect("sel", nil, func(*tuple.Tuple) bool { return true }), g.AddNode(s2))
+	col := &collector{}
+	g.AddNode(ops.NewSink("k", col.add), g.AddNode(ops.NewUnion("u", nil, 2, ops.TSM), a, sel))
 	e, err := New(g, Options{
 		OnDemandETS: true,
 		BatchSize:   1 << 16, // never fills
@@ -431,6 +441,38 @@ func TestRuntimeBatchingPreservesPunctuationLatency(t *testing.T) {
 	}
 	if e.ETSGenerated() == 0 {
 		t.Error("no ETS generated")
+	}
+}
+
+// TestRuntimeBatchingPreservesBoundReadLatency is the bound-read twin of
+// TestRuntimeBatchingPreservesPunctuationLatency: with the sparse source
+// feeding the union directly, no ETS need exist, and the tuple must still
+// leave both partial batches at once — the source's and the union's idle
+// flush, with the sparse bound read in between.
+func TestRuntimeBatchingPreservesBoundReadLatency(t *testing.T) {
+	g, s1, _, col := buildUnion(t, ops.TSM, tuple.Internal)
+	e, err := New(g, Options{OnDemandETS: true, BatchSize: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.maxDelay = time.Minute
+	e.Start()
+	defer e.Stop()
+	waitParked(t, e) // s2 parked: its bound is readable
+
+	start := time.Now()
+	e.Ingest(s1, tuple.NewData(0, tuple.Int(1)))
+	for deadline := time.Now().Add(5 * time.Second); len(col.snapshot()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("batching delayed a bound read: tuple never reached the sink")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("delivery took %v; the bound read must release at once", elapsed)
+	}
+	if e.BoundReads() == 0 {
+		t.Error("no bound read")
 	}
 }
 

@@ -225,6 +225,26 @@ func TestHashStoreGrowsWhileWrapped(t *testing.T) {
 	}
 }
 
+// A restore replaces nothing: into a store that holds tuples, either kind
+// refuses the payload and keeps what it holds.
+func TestRestoreRejectsNonEmptyStore(t *testing.T) {
+	h, _ := wrappedAndGrown(t)
+	var enc ckpt.Encoder
+	h.SaveState(&enc)
+	live := h.Len()
+	if err := h.RestoreState(ckpt.NewDecoder(enc.Bytes())); err == nil || h.Len() != live {
+		t.Fatalf("hash store restored into itself: err %v, %d tuples, had %d", err, h.Len(), live)
+	}
+
+	w := NewStore(h.Spec())
+	w.Insert(tuple.NewData(1, tuple.Int(1)))
+	enc = ckpt.Encoder{}
+	w.SaveState(&enc)
+	if err := w.RestoreState(ckpt.NewDecoder(enc.Bytes())); err == nil || w.Len() != 1 {
+		t.Fatalf("store restored into itself: err %v, %d tuples, had 1", err, w.Len())
+	}
+}
+
 // A store that has grown and wrapped saves, restores and saves again to the
 // same bytes, and the restored index answers as the original does.
 func TestHashStoreStateRoundTripAfterGrowth(t *testing.T) {

@@ -1,6 +1,7 @@
 package window
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -21,9 +22,16 @@ func (w *Store) SaveState(enc *ckpt.Encoder) {
 	saveWindow(enc, w.spec, -1, w.peak, w.inserted, w.expired, w.n, w.Each)
 }
 
+// errRestoreNonEmpty rejects a restore into a store that holds tuples: the
+// saved ones would join the live ones instead of replacing them.
+var errRestoreNonEmpty = errors.New("window: restore into a store that holds tuples")
+
 // RestoreState rebuilds the store from dec. The store must be empty and
 // built with the same spec as at save time.
 func (w *Store) RestoreState(dec *ckpt.Decoder) error {
+	if w.n > 0 {
+		return errRestoreNonEmpty
+	}
 	return restoreWindow(dec, w.spec, -1, &w.peak, &w.inserted, &w.expired, w.Insert)
 }
 
@@ -32,8 +40,12 @@ func (w *HashStore) SaveState(enc *ckpt.Encoder) {
 	saveWindow(enc, w.spec, w.keyCol, w.peak, w.inserted, w.expired, w.n, w.each)
 }
 
-// RestoreState rebuilds the hash store (ring and key index) from dec.
+// RestoreState rebuilds the hash store (ring and key index) from dec, under
+// the same conditions as Store.RestoreState.
 func (w *HashStore) RestoreState(dec *ckpt.Decoder) error {
+	if w.n > 0 {
+		return errRestoreNonEmpty
+	}
 	return restoreWindow(dec, w.spec, w.keyCol, &w.peak, &w.inserted, &w.expired, w.Insert)
 }
 
