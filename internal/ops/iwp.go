@@ -58,11 +58,23 @@ func (c *iwp) Watermark() tuple.Time { return c.watermark }
 
 // RaiseBound raises input in's TSM register to ts, as consuming a
 // punctuation at ts from that input would, and reports whether it advanced.
-// Like a consumed punctuation it can only raise: a bound that lands below
-// the register later is absorbed. Outside TSM mode there are no registers to
-// raise.
-func (c *iwp) RaiseBound(in int, ts tuple.Time) bool {
-	return c.regs != nil && c.regs.Update(in, ts)
+// An advance has the punctuation's effects, in punctStep's order: the
+// operator's punctuation hook (a join expires the opposite window), then the
+// punctuation rule, unless the operator can now run — its next step pops a
+// tuple at exactly the merged bound, which conveys it. Like a consumed
+// punctuation it can only raise: a bound that lands below the register later
+// is absorbed. Outside TSM mode there are no registers to raise.
+func (c *iwp) RaiseBound(ctx *Ctx, in int, ts tuple.Time) bool {
+	if c.regs == nil || !c.regs.Update(in, ts) {
+		return false
+	}
+	if c.onPunct != nil {
+		c.onPunct(in, ts)
+	}
+	if !c.More(ctx) {
+		c.punctStep(ctx, nil, ts)
+	}
+	return true
 }
 
 // EndOfStream emits the end of stream for an operator whose every input has
@@ -147,17 +159,22 @@ func (c *iwp) step(ctx *Ctx) (t *tuple.Tuple, in int, yield bool) {
 	if c.onPunct != nil {
 		c.onPunct(in, t.Ts)
 	}
-	return nil, in, c.punctStep(ctx, t) || yield
+	return nil, in, c.punctStep(ctx, t, t.Ts) || yield
 }
 
-// punctStep runs the TSM punctuation rule for a consumed punctuation:
+// punctStep runs the TSM punctuation rule for a bound ts consumed from an
+// input, as the punctuation t or, with t nil, as a read bound (RaiseBound):
 // re-observe, compute the merged bound, forward/dedup/absorb.
-func (c *iwp) punctStep(ctx *Ctx, t *tuple.Tuple) bool {
+func (c *iwp) punctStep(ctx *Ctx, t *tuple.Tuple, ts tuple.Time) bool {
 	c.regs.Observe(ctx.Ins)
 	bound, _ := c.regs.Min()
 	if !c.DedupPunct {
 		c.punctOut++
-		ctx.Emit(plainPunct(t))
+		if t == nil {
+			ctx.Emit(tuple.GetPunct(ts))
+		} else {
+			ctx.Emit(plainPunct(t))
+		}
 		return true
 	}
 	if bound > c.watermark && bound != tuple.MaxTime {
@@ -166,7 +183,7 @@ func (c *iwp) punctStep(ctx *Ctx, t *tuple.Tuple) bool {
 		ctx.Emit(tuple.GetPunct(bound))
 		return true
 	}
-	if t.IsEOS() && bound == tuple.MaxTime { // every input has ended
+	if t != nil && t.IsEOS() && bound == tuple.MaxTime { // every input has ended
 		c.punctOut++
 		ctx.Emit(tuple.EOS())
 		return true

@@ -284,3 +284,41 @@ func TestTSMJoinCompletenessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A bound raised on one of a join's inputs (an engine's bound read) has the
+// effects of a punctuation consumed there: the opposite window expires
+// against it at once, and a merged bound that advanced propagates while the
+// join still cannot run. A raise that lets it run leaves the bound to the
+// tuple it pops next; one that does not advance the register does nothing.
+func TestJoinRaiseBoundExpiresAndPropagates(t *testing.T) {
+	j := NewHashWindowJoin("j", nil, window.TimeWindow(10), window.TimeWindow(10), 0, 0, TSM)
+	h := newHarness(j)
+	h.ins[0].Push(keyed(5, 1))
+	h.ins[0].Push(keyed(50, 2))
+	h.ins[1].Push(tuple.NewPunct(5))
+	h.run()
+	if j.WindowLen(0) != 1 || j.More(h.ctx) || j.BlockingInput(h.ctx) != 1 {
+		t.Fatalf("setup: left window %d, want 1 and the join blocked on the right", j.WindowLen(0))
+	}
+	h.out = nil
+	if !j.RaiseBound(h.ctx, 1, 30) {
+		t.Fatal("RaiseBound(30) did not advance the right register")
+	}
+	if n := j.WindowLen(0); n != 0 {
+		t.Errorf("left window holds %d after a right bound of 30 (span 10), want 0", n)
+	}
+	if p := h.puncts(); len(p) != 1 || p[0].Ts != 30 || j.More(h.ctx) {
+		t.Errorf("emitted %v, want the merged bound 30 with the join still blocked", h.out)
+	}
+	h.out = nil
+	if !j.RaiseBound(h.ctx, 1, 100) || !j.More(h.ctx) || len(h.out) != 0 {
+		t.Errorf("RaiseBound(100): join runnable %v, emitted %v; want runnable, nothing emitted", j.More(h.ctx), h.out)
+	}
+	if j.RaiseBound(h.ctx, 1, 80) || len(h.out) != 0 {
+		t.Errorf("a bound below the register advanced it or emitted %v", h.out)
+	}
+	h.run()
+	if j.WindowLen(0) != 1 || len(h.data()) != 0 || j.Watermark() != 50 {
+		t.Errorf("after the run: left window %d, watermark %d, output %v", j.WindowLen(0), j.Watermark(), h.out)
+	}
+}

@@ -24,7 +24,9 @@
 // union emits it, the join probes and inserts) and their latent-mode step;
 // the join also expires its opposite window on a consumed punctuation. An
 // engine that reads an input's bound from its producer instead of receiving
-// it as punctuation raises the register through the core (RaiseBound).
+// it as punctuation raises the register through the core (RaiseBound), which
+// runs the join's hook and the punctuation rule as a consumed punctuation
+// does.
 package ops
 
 import (

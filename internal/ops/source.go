@@ -245,36 +245,27 @@ func (s *Source) Promise(now tuple.Time) tuple.Time {
 }
 
 // OnDemandETS generates an Enabling Time-Stamp for the current clock, as the
-// paper's backtrack-to-source rule requires (§4, §5). It returns false when
-// the stream kind admits no ETS (latent), no bound exists yet (external
-// before the first tuple), or the bound has not advanced since the last ETS
-// — re-issuing it could not unblock anything and would make a quiescent
-// graph spin.
+// paper's backtrack-to-source rule requires (§4, §5): the bound IssueETS
+// issues, as a punctuation tuple.
 func (s *Source) OnDemandETS(now tuple.Time) (*tuple.Tuple, bool) {
-	if s.est == nil {
-		return nil, false
-	}
-	ets, ok := s.est.ETS(now)
+	ets, ok := s.IssueETS(now)
 	if !ok {
 		return nil, false
 	}
-	s.est.Emit(ets)
 	return tuple.GetPunct(ets), true
 }
 
-// ReadBound issues the on-demand ETS of an internal-timestamp stream as a
-// bound rather than a tuple, for an engine that delivers it to the consumer
-// itself: the clock now, capped below an armed cut (whose barrier must
-// precede every bound at or above its timestamp), recorded as issued like
-// OnDemandETS's. It reports false for other kinds and when the bound would
-// not advance. The caller must hold the source still: no Exec, ETS or cut
-// may run concurrently.
-func (s *Source) ReadBound(now tuple.Time) (tuple.Time, bool) {
-	if s.tsKind != tuple.Internal {
+// IssueETS issues the stream's on-demand ETS at clock now and records it as
+// issued. It returns false when the stream kind admits no ETS (latent), no
+// bound exists yet (external before the first tuple), or the bound has not
+// advanced since the last ETS — re-issuing it could not unblock anything and
+// would make a quiescent graph spin. An engine that delivers the bound to
+// the consumer itself, rather than as a tuple, calls it directly; it must
+// hold the source still (no Exec, ETS or cut concurrently) and cap now below
+// an armed cut, whose barrier must precede every bound at or above its T.
+func (s *Source) IssueETS(now tuple.Time) (tuple.Time, bool) {
+	if s.est == nil {
 		return tuple.MinTime, false
-	}
-	if at, _, armed := s.cut.Armed(); armed && now >= at {
-		now = at - 1
 	}
 	ets, ok := s.est.ETS(now)
 	if ok {

@@ -3,9 +3,12 @@ package runtime
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/graph"
 	"repro/internal/ops"
 	"repro/internal/tuple"
+	"repro/internal/window"
 )
 
 // manualClock is an engine clock a test sets by hand.
@@ -40,10 +43,10 @@ func idleUnion(t *testing.T, clk *manualClock) (e *Engine, s2 *ops.Source, s2n, 
 	return e, s2, s2n, un
 }
 
-// sourceCtx is a source node's execution context, for running its goroutine's
-// part by hand.
-func (e *Engine) sourceCtx(n *node) *ops.Ctx {
-	return &ops.Ctx{Emit: func(t *tuple.Tuple) { e.emit(n, t) }, Now: e.now}
+// nodeCtx is a node's execution context, for running its goroutine's part
+// by hand.
+func (e *Engine) nodeCtx(n *node) *ops.Ctx {
+	return &ops.Ctx{Ins: n.ins, Emit: func(t *tuple.Tuple) { e.emit(n, t) }, Now: e.now}
 }
 
 func register(un *node, in int) tuple.Time {
@@ -57,7 +60,7 @@ func TestBoundReadStampsAtFloor(t *testing.T) {
 	clk := &manualClock{}
 	clk.set(100)
 	e, s2, s2n, un := idleUnion(t, clk)
-	if !e.readBound(un, 1) {
+	if !e.readBound(un, e.nodeCtx(un), 1) {
 		t.Fatal("read declined on an idle, drained source")
 	}
 	if r := register(un, 1); r != 100 {
@@ -82,7 +85,7 @@ func TestBoundReadRespectsCut(t *testing.T) {
 	if at, err := e.armCut(1); err != nil || at != 150 {
 		t.Fatalf("armCut = %d, %v", at, err)
 	}
-	if !e.readBound(un, 1) {
+	if !e.readBound(un, e.nodeCtx(un), 1) {
 		t.Fatal("read declined below an armed cut")
 	}
 	if r := register(un, 1); r != 149 {
@@ -91,22 +94,22 @@ func TestBoundReadRespectsCut(t *testing.T) {
 
 	// The source reaches the cut (the checkpoint's nudge): its barrier is
 	// flushed onto the arc and in flight.
-	s2.ReachCut(e.sourceCtx(s2n), s2.Promise(e.now()))
+	s2.ReachCut(e.nodeCtx(s2n), s2.Promise(e.now()))
 	if _, _, armed := s2.ArmedCut(); armed {
 		t.Fatal("source did not reach its cut")
 	}
 	clk.set(300)
-	if e.readBound(un, 1) {
+	if e.readBound(un, e.nodeCtx(un), 1) {
 		t.Fatalf("read at %d while the barrier at 150 is in flight", register(un, 1))
 	}
 	e.deliver(un, <-un.in)
-	if e.readBound(un, 1) {
+	if e.readBound(un, e.nodeCtx(un), 1) {
 		t.Fatal("read while the barrier waits in the union's queue")
 	}
 	if b := un.ins[1].Pop(); b.Ckpt != 1 || b.Ts != 150 {
 		t.Fatalf("delivered %v, want the barrier at 150", b)
 	}
-	if !e.readBound(un, 1) || register(un, 1) != 300 {
+	if !e.readBound(un, e.nodeCtx(un), 1) || register(un, 1) != 300 {
 		t.Fatalf("read after the barrier: register %d, want 300", register(un, 1))
 	}
 }
@@ -118,7 +121,7 @@ func TestBoundReadAbsorbsStaleETS(t *testing.T) {
 	clk := &manualClock{}
 	clk.set(100)
 	e, s2, s2n, un := idleUnion(t, clk)
-	if !e.readBound(un, 1) {
+	if !e.readBound(un, e.nodeCtx(un), 1) {
 		t.Fatal("read declined on an idle, drained source")
 	}
 	clk.set(50)
@@ -153,5 +156,43 @@ func TestBoundReadAbsorbsStaleETS(t *testing.T) {
 	}
 	if rows != 3 {
 		t.Fatalf("union emitted %v, want three rows", out)
+	}
+}
+
+// A TSM hash join over two internal sources, one fed and one parked, runs on
+// bounds read from the parked side: every fed tuple is consumed and the fed
+// side's window stays within its span. The read's punctuation effects on the
+// join itself are pinned in ops (TestJoinRaiseBoundExpiresAndPropagates).
+func TestBoundReadJoinKeepsWindowInSpan(t *testing.T) {
+	const span, gap, fed = 5 * tuple.Millisecond, 2 * time.Millisecond, 60
+	g := graph.New("j")
+	s1 := ops.NewSource("s1", intSchema("s1", tuple.Internal), 0)
+	s2 := ops.NewSource("s2", intSchema("s2", tuple.Internal), 0)
+	a, b := g.AddNode(s1), g.AddNode(s2)
+	j := ops.NewHashWindowJoin("j", nil, window.TimeWindow(span), window.TimeWindow(span), 0, 0, ops.TSM)
+	col := &collector{}
+	g.AddNode(ops.NewSink("k", col.add), g.AddNode(j, a, b))
+	e, err := New(g, Options{OnDemandETS: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	for i := 0; i < fed; i++ {
+		e.Ingest(s1, tuple.NewData(0, tuple.Int(int64(i))))
+		time.Sleep(gap)
+	}
+	e.CloseStream(s1)
+	e.CloseStream(s2)
+	e.Wait()
+	if e.BoundReads() == 0 {
+		t.Fatal("the join never read the parked source's bound")
+	}
+	if c := j.Consumed(0); c != fed {
+		t.Fatalf("join consumed %d fed tuples, want %d", c, fed)
+	}
+	// Arrivals are at least gap apart, so a span holds about span/gap of
+	// them; a third of the feed leaves room for a slow scheduler.
+	if p := j.HashWindow(0).Peak(); p > fed/3 {
+		t.Fatalf("fed side's window peaked at %d of %d tuples (span %v, gap %v)", p, fed, span, gap)
 	}
 }

@@ -54,8 +54,8 @@
 // For an internal-timestamp stream the on-demand ETS is the clock, so a
 // round trip for it is waste. A TSM union or join about to idle-wait on an
 // input that such a source feeds by a direct arc reads the source's bound on
-// its own goroutine and raises its own register with it (readBound): no
-// tuple, message or wake. It does so only while the source is parked (a run
+// its own goroutine and raises its own register with it (readBound), with the
+// effects a punctuation consumed there would have: no tuple, message or wake. It does so only while the source is parked (a run
 // lock its goroutine lets go of only in its idle select, taken with TryLock),
 // holds nothing, has nothing in flight on the arc (tuples flushed equal
 // tuples received) and has an empty inlet. The read is recorded as the
@@ -377,6 +377,16 @@ func (in *inlet) recycle(b []*tuple.Tuple) {
 }
 
 // len reports the tuples waiting for the next take.
+// promise records ts as a bound issued for the stream, by its source or by
+// a consumer's bound read: the highest timestamp recorded and, for an
+// internal stream, the floor no take stamps below. The caller holds in.mu.
+func (in *inlet) promise(ts tuple.Time, internal bool) {
+	in.hi = max(in.hi, ts)
+	if internal {
+		in.floor = max(in.floor, ts)
+	}
+}
+
 func (in *inlet) len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -390,9 +400,9 @@ type iwpOperator interface {
 	ops.Operator
 	Mode() ops.IWPMode
 	// RaiseBound raises input in's TSM register to ts — a bound the engine
-	// read from that input's producer (readBound) — and reports whether the
-	// register advanced.
-	RaiseBound(in int, ts tuple.Time) bool
+	// read from that input's producer (readBound) — as a punctuation at ts
+	// consumed there would, and reports whether the register advanced.
+	RaiseBound(ctx *ops.Ctx, in int, ts tuple.Time) bool
 	// EndOfStream emits what the operator owes downstream once every input
 	// has ended and drained: EOS, if its mode swallowed the inputs' EOS.
 	EndOfStream(ctx *ops.Ctx)
@@ -1379,10 +1389,7 @@ func (e *Engine) sourceETS(n *node, src *ops.Source) *tuple.Tuple {
 		return nil
 	}
 	n.inlet.mu.Lock()
-	n.inlet.hi = max(n.inlet.hi, p.Ts)
-	if n.internal {
-		n.inlet.floor = max(n.inlet.floor, p.Ts)
-	}
+	n.inlet.promise(p.Ts, n.internal)
 	n.inlet.mu.Unlock()
 	src.Offer(p)
 	return p
@@ -1398,7 +1405,7 @@ func (e *Engine) sourceETS(n *node, src *ops.Source) *tuple.Tuple {
 func (e *Engine) readBounds(n *node, ctx *ops.Ctx) bool {
 	for range n.reads {
 		j := n.iwp.BlockingInput(ctx)
-		if j < 0 || !e.readBound(n, j) {
+		if j < 0 || !e.readBound(n, ctx, j) {
 			return false
 		}
 		if n.iwp.More(ctx) {
@@ -1409,7 +1416,9 @@ func (e *Engine) readBounds(n *node, ctx *ops.Ctx) bool {
 }
 
 // readBound reads the bound of the internal source feeding n's input j and
-// raises the input's register with it. It declines unless, with input j
+// raises the input's register with it, with the effects of a punctuation
+// consumed there (ops' RaiseBound): a join expires the opposite window and
+// a merged bound that advanced propagates. It declines unless, with input j
 // empty:
 //
 //  1. the source is still: parked, its run lock free (taken without waiting);
@@ -1421,33 +1430,18 @@ func (e *Engine) readBounds(n *node, ctx *ops.Ctx) bool {
 //
 // Then nothing the source has emitted is still on its way to n, and nothing
 // it will emit is stamped below the bound (inlet.floor). The bound is
-// recorded like an on-demand ETS (inlet.hi, the estimator) and capped below
-// an armed cut, whose barrier must precede every bound at or above its T
-// (ops.Source.ReadBound).
-func (e *Engine) readBound(n *node, j int) bool {
+// recorded like an on-demand ETS (inlet.promise, the estimator) and capped
+// below an armed cut, whose barrier must precede every bound at or above its
+// T (ops.Source.IssueETS).
+func (e *Engine) readBound(n *node, ctx *ops.Ctx, j int) bool {
 	r := n.reads[j]
 	s := r.src
 	if s == nil || !n.ins[j].Empty() || !s.run.TryLock() {
 		return false
 	}
-	defer s.run.Unlock()
-	src := s.gn.Source()
-	if s.srcDone || s.dead.Load() || s.pendCount > 0 || !src.Inbox().Empty() || s.sent[r.arc] != n.recv[j] {
-		return false
-	}
-	in := s.inlet
-	in.mu.Lock()
-	if len(in.buf) > 0 {
-		in.mu.Unlock()
-		return false
-	}
-	b, ok := src.ReadBound(e.now())
-	if ok {
-		in.hi = max(in.hi, b)
-		in.floor = max(in.floor, b)
-	}
-	in.mu.Unlock()
-	if !ok || !n.iwp.RaiseBound(j, b) {
+	b, ok := e.issueIdleBound(s, r.arc, n.recv[j])
+	s.run.Unlock()
+	if !ok || !n.iwp.RaiseBound(ctx, j, b) {
 		return false
 	}
 	// The arc's watermark moves as a delivered ETS would move it, so a
@@ -1461,4 +1455,30 @@ func (e *Engine) readBound(n *node, j int) bool {
 		e.trace.Emit(metrics.EvBoundRead, n.name, b, int64(j))
 	}
 	return true
+}
+
+// issueIdleBound issues the ETS of the internal source s as a bound, under
+// readBound's rules 2–4, given that its consumer has received recv tuples
+// of the sent[arc] it flushed: it reports false unless s holds nothing, its
+// arc is drained and its inlet empty. The caller holds s.run (rule 1).
+func (e *Engine) issueIdleBound(s *node, arc int, recv uint64) (tuple.Time, bool) {
+	src := s.gn.Source()
+	if s.srcDone || s.dead.Load() || s.pendCount > 0 || !src.Inbox().Empty() || s.sent[arc] != recv {
+		return 0, false
+	}
+	in := s.inlet
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(in.buf) > 0 {
+		return 0, false
+	}
+	now := e.now()
+	if _, at, armed := src.ArmedCut(); armed && now >= at {
+		now = at - 1
+	}
+	b, ok := src.IssueETS(now)
+	if ok {
+		in.promise(b, true)
+	}
+	return b, ok
 }
